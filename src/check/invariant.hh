@@ -118,15 +118,13 @@ class InvariantChecker
     /** Once per cycle: the active cluster count in force. */
     void onCycle(int active_clusters);
 
-    // --- checkpoint / multiplexing (Processor + batch-driver probes) ------
+    // --- checkpoint (Processor probe) -------------------------------------
     /**
-     * The instruction stream this sink observes is about to rewind or
-     * switch: a snapshot restore moved the processor back in sequence
-     * space, or a driver is multiplexing several processors onto one
-     * thread (the batched sweep's round-robin warmup). Re-bases the
-     * sequencing rules (dense ROB allocation, in-order commit/retire,
-     * ordered LSQ release) on their next observation; all conservation
-     * rules keep checking through the switch.
+     * The instruction stream this sink observes is about to rewind: a
+     * snapshot restore moved the processor back in sequence space.
+     * Re-bases the sequencing rules (dense ROB allocation, in-order
+     * commit/retire, ordered LSQ release) on their next observation;
+     * all conservation rules keep checking through the switch.
      */
     void onStreamRebase();
 

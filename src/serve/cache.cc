@@ -1,214 +1,20 @@
 #include "serve/cache.hh"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
-
-#include <dirent.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include "common/logging.hh"
-#include "common/sha256.hh"
 #include "sim/plan.hh"
 
 namespace clustersim {
 namespace serve {
 
-namespace {
-
-constexpr const char *cacheMagic = "clustersim-point-cache-v1";
-constexpr const char *cacheSuffix = ".cpt";
-
-bool
-isHexKey(const std::string &s)
-{
-    if (s.size() != 64)
-        return false;
-    for (char c : s) {
-        bool hex = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
-        if (!hex)
-            return false;
-    }
-    return true;
-}
-
-} // namespace
-
 CacheStore::CacheStore(std::string dir, std::string salt)
-    : dir_(std::move(dir)), salt_(std::move(salt))
-{
-    if (dir_.empty())
-        return;
-    // Create the directory (one level; parents must exist). An
-    // existing directory is fine; anything else fails loudly now
-    // rather than on the first store.
-    if (mkdir(dir_.c_str(), 0777) != 0 && errno != EEXIST)
-        fatal("cache: cannot create directory '", dir_, "': ",
-              std::strerror(errno));
-    struct stat st = {};
-    if (stat(dir_.c_str(), &st) != 0 || !S_ISDIR(st.st_mode))
-        fatal("cache: '", dir_, "' is not a directory");
-}
+    : ContentStore(std::move(dir), std::move(salt),
+                   "clustersim-point-cache-v1", ".cpt")
+{}
 
 std::string
 CacheStore::keyFor(const RunPoint &p, const std::string &label,
                    std::uint64_t seed) const
 {
-    std::string identity = pointIdentityKey(p, label, seed);
-    if (identity.empty())
-        return {};
-    Sha256 h;
-    h.update(cacheMagic, std::strlen(cacheMagic));
-    h.update(salt_);
-    h.update(identity);
-    std::array<std::uint8_t, 32> d = h.digest();
-    static const char hex[] = "0123456789abcdef";
-    std::string out;
-    out.reserve(64);
-    for (std::uint8_t b : d) {
-        out.push_back(hex[b >> 4]);
-        out.push_back(hex[b & 0xf]);
-    }
-    return out;
-}
-
-std::string
-CacheStore::pathFor(const std::string &key) const
-{
-    return dir_ + "/" + key + cacheSuffix;
-}
-
-bool
-CacheStore::contains(const std::string &key) const
-{
-    if (!enabled() || key.empty())
-        return false;
-    struct stat st = {};
-    return stat(pathFor(key).c_str(), &st) == 0 && S_ISREG(st.st_mode);
-}
-
-std::optional<std::string>
-CacheStore::load(const std::string &key)
-{
-    auto miss = [this](bool corrupt) -> std::optional<std::string> {
-        MutexLock lock(mutex_);
-        stats_.misses++;
-        if (corrupt)
-            stats_.corrupt++;
-        return std::nullopt;
-    };
-    if (!enabled() || key.empty())
-        return miss(false);
-
-    std::ifstream f(pathFor(key), std::ios::binary);
-    if (!f)
-        return miss(false);
-    std::ostringstream buf;
-    buf << f.rdbuf();
-    std::string file = buf.str();
-
-    // Header line: "<magic> <key> <payload-bytes> <payload-sha256>\n",
-    // then the payload and a trailing newline. Every field is
-    // verified; any mismatch is corruption and falls back to
-    // recompute.
-    std::size_t nl = file.find('\n');
-    if (nl == std::string::npos)
-        return miss(true);
-    std::istringstream header(file.substr(0, nl));
-    std::string magic, hkey, sha;
-    std::uint64_t bytes = 0;
-    header >> magic >> hkey >> bytes >> sha;
-    if (!header || magic != cacheMagic || hkey != key)
-        return miss(true);
-    std::size_t payload_at = nl + 1;
-    if (file.size() != payload_at + bytes + 1 || file.back() != '\n')
-        return miss(true);
-    std::string payload = file.substr(payload_at, bytes);
-    if (sha256Hex(payload) != sha)
-        return miss(true);
-
-    MutexLock lock(mutex_);
-    stats_.hits++;
-    return payload;
-}
-
-void
-CacheStore::store(const std::string &key, const std::string &payload)
-{
-    if (!enabled() || key.empty())
-        return;
-
-    std::uint64_t serial;
-    {
-        MutexLock lock(mutex_);
-        serial = tmpCounter_++;
-    }
-    // Unique temp name, then atomic rename: readers only ever see
-    // complete files, and concurrent same-key writers are benign (the
-    // payload is content-addressed, so every writer writes the same
-    // bytes).
-    std::string tmp = dir_ + "/.tmp-" + std::to_string(getpid()) + "-" +
-                      std::to_string(serial);
-    std::string path = pathFor(key);
-
-    std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-    if (f) {
-        f << cacheMagic << ' ' << key << ' ' << payload.size() << ' '
-          << sha256Hex(payload) << '\n'
-          << payload << '\n';
-        f.flush();
-    }
-    bool ok = static_cast<bool>(f);
-    f.close();
-    if (ok)
-        ok = std::rename(tmp.c_str(), path.c_str()) == 0;
-    if (!ok) {
-        std::remove(tmp.c_str());
-        warn("cache: failed to store ", path);
-    }
-
-    MutexLock lock(mutex_);
-    if (ok)
-        stats_.stores++;
-    else
-        stats_.storeFailures++;
-}
-
-CacheStats
-CacheStore::stats() const
-{
-    MutexLock lock(mutex_);
-    return stats_;
-}
-
-void
-CacheStore::diskUsage(std::uint64_t &entries, std::uint64_t &bytes) const
-{
-    entries = 0;
-    bytes = 0;
-    if (!enabled())
-        return;
-    DIR *d = opendir(dir_.c_str());
-    if (!d)
-        return;
-    while (struct dirent *e = readdir(d)) {
-        std::string name = e->d_name;
-        std::size_t suffix_len = std::strlen(cacheSuffix);
-        if (name.size() != 64 + suffix_len ||
-            name.compare(name.size() - suffix_len, suffix_len,
-                         cacheSuffix) != 0 ||
-            !isHexKey(name.substr(0, 64)))
-            continue;
-        struct stat st = {};
-        if (stat((dir_ + "/" + name).c_str(), &st) == 0) {
-            entries++;
-            bytes += static_cast<std::uint64_t>(st.st_size);
-        }
-    }
-    closedir(d);
+    return address(pointIdentityKey(p, label, seed));
 }
 
 } // namespace serve

@@ -8,23 +8,17 @@
  * legitimately change, so a hit replays byte-identical report bytes and
  * repeated figure regenerations become near-free.
  *
- * Layout: one file per key, `<dir>/<64-hex-sha256>.cpt`, written to a
- * temp name and atomically renamed. Each file carries a one-line header
- * (magic, key, payload length, payload sha256) ahead of the payload;
- * any mismatch -- truncation, bit rot, a stale format -- is counted as
- * corrupt and treated as a miss, falling back to recompute. The version
- * salt is the whole-cache invalidation lever: bump it (or pass a new
- * one to sweepd) whenever a change alters simulated outcomes.
+ * Storage, integrity checks and counters are the shared ContentStore's
+ * (common/content_store.hh); entries are `<dir>/<64-hex-sha256>.cpt`.
  */
 
 #ifndef CLUSTERSIM_SERVE_CACHE_HH
 #define CLUSTERSIM_SERVE_CACHE_HH
 
 #include <cstdint>
-#include <optional>
 #include <string>
 
-#include "common/thread_annotations.hh"
+#include "common/content_store.hh"
 #include "sim/sweep.hh"
 
 namespace clustersim {
@@ -38,17 +32,11 @@ namespace serve {
  */
 inline constexpr const char *defaultCacheSalt = "clustersim-results-v6";
 
-/** Monotonic counters; snapshot via CacheStore::stats(). */
-struct CacheStats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t stores = 0;
-    std::uint64_t storeFailures = 0;
-    std::uint64_t corrupt = 0;
-};
+using CacheStats = StoreStats;
 
-/** Thread-safe persistent store: one payload per content address. */
-class CacheStore
+/** The content store keyed on point identity: one report payload per
+ *  finished point. */
+class CacheStore : public ContentStore
 {
   public:
     /**
@@ -58,46 +46,12 @@ class CacheStore
      */
     CacheStore(std::string dir, std::string salt = defaultCacheSalt);
 
-    bool enabled() const { return !dir_.empty(); }
-    const std::string &salt() const { return salt_; }
-    const std::string &dir() const { return dir_; }
-
     /**
      * Content address of one planned point, or "" when the point's
      * identity is not fully declared (pointCacheable() false).
      */
     std::string keyFor(const RunPoint &p, const std::string &label,
                        std::uint64_t seed) const;
-
-    /** Whether an entry file exists for key. Content is not verified
-     *  and no hit/miss counters move -- a cheap probe for the submit
-     *  handshake's `cached` estimate. */
-    bool contains(const std::string &key) const;
-
-    /** Payload stored under key; nullopt on miss or corruption. */
-    std::optional<std::string> load(const std::string &key)
-        CSIM_EXCLUDES(mutex_);
-
-    /** Persist payload under key (atomic rename; last writer wins). */
-    void store(const std::string &key, const std::string &payload)
-        CSIM_EXCLUDES(mutex_);
-
-    CacheStats stats() const CSIM_EXCLUDES(mutex_);
-
-    /** Entry count and payload bytes currently on disk (directory
-     *  scan; for the stats protocol frame, not hot paths). */
-    void diskUsage(std::uint64_t &entries, std::uint64_t &bytes) const;
-
-  private:
-    std::string pathFor(const std::string &key) const;
-
-    // simlint-ignore(C001): immutable after construction
-    std::string dir_;
-    // simlint-ignore(C001): immutable after construction
-    std::string salt_;
-    mutable Mutex mutex_;
-    CacheStats stats_ CSIM_GUARDED_BY(mutex_);
-    std::uint64_t tmpCounter_ CSIM_GUARDED_BY(mutex_) = 0;
 };
 
 } // namespace serve

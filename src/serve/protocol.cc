@@ -5,7 +5,6 @@
 #include "common/json_reader.hh"
 #include "common/logging.hh"
 #include "common/sha256.hh"
-#include "sim/checkpoint.hh"
 
 namespace clustersim {
 namespace serve {
@@ -257,7 +256,7 @@ cancelledFrame(std::uint64_t job)
 std::string
 statsFrame(const CacheStats &cache, std::uint64_t entries,
            std::uint64_t bytes, const ServeStats &sched,
-           const CheckpointStats *ckpt, std::uint64_t ckptEntries,
+           const StoreStats *ckpt, std::uint64_t ckptEntries,
            std::uint64_t ckptBytes)
 {
     JsonWriter w;
@@ -272,8 +271,8 @@ statsFrame(const CacheStats &cache, std::uint64_t entries,
     w.field("entries", entries);
     w.field("bytes", bytes);
     w.endObject();
-    CheckpointStats none;
-    const CheckpointStats &c = ckpt ? *ckpt : none;
+    StoreStats none;
+    const StoreStats &c = ckpt ? *ckpt : none;
     w.key("checkpoints").beginObject();
     w.field("enabled", ckpt != nullptr);
     w.field("hits", c.hits);

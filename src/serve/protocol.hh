@@ -20,9 +20,6 @@
 #include "serve/cache.hh"
 
 namespace clustersim {
-
-struct CheckpointStats;
-
 namespace serve {
 
 /** Protocol identifier, echoed in hello/pong frames. */
@@ -129,7 +126,7 @@ struct ServeStats {
  */
 std::string statsFrame(const CacheStats &cache, std::uint64_t entries,
                        std::uint64_t bytes, const ServeStats &sched,
-                       const CheckpointStats *ckpt = nullptr,
+                       const StoreStats *ckpt = nullptr,
                        std::uint64_t ckptEntries = 0,
                        std::uint64_t ckptBytes = 0);
 

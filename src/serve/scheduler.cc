@@ -7,6 +7,7 @@
 
 #include "common/json_reader.hh"
 #include "common/logging.hh"
+#include "sim/plan.hh"
 #include "sim/presets.hh"
 
 namespace clustersim {
@@ -20,7 +21,6 @@ struct PointScheduler::Job {
     std::string name;                 ///< preset (names the report)
     JobEvents events;
     std::vector<RunPoint> points;
-    SweepPlan plan;
     std::vector<std::string> cacheKeys; ///< "" = not cacheable
     std::vector<std::string> ikeys;     ///< in-flight dedup key
     std::vector<ReportEntry> entries;
@@ -38,17 +38,11 @@ struct PointScheduler::Job {
     std::size_t total() const { return points.size(); }
 };
 
-/** One cold point inside a task: where to compute and how to file it. */
-struct TaskMember {
+/** One unit of worker work: one cold point and how to file it. */
+struct PointScheduler::Task {
     std::string ikey;
     bool persist = false;             ///< store into the cache
     RunPoint point;
-};
-
-/** One unit of worker work: the cold members of one plan group, so
- *  points that could share a warmup still do (runSweepBatched). */
-struct PointScheduler::Task {
-    std::vector<TaskMember> members;
 };
 
 /** Shared state of one cold point being computed (or queued). */
@@ -129,7 +123,8 @@ PointScheduler::submit(const SubmitRequest &req, JobEvents events)
     if (req.activeClusters != 0)
         for (RunPoint &p : job->points)
             p.cfg.activeClustersAtReset = req.activeClusters;
-    job->plan = planSweep(job->points, /*derive_seeds=*/true);
+    std::vector<PlannedPoint> plan =
+        planPoints(job->points, /*derive_seeds=*/true);
 
     std::size_t n = job->points.size();
     job->entries.resize(n);
@@ -137,9 +132,8 @@ PointScheduler::submit(const SubmitRequest &req, JobEvents events)
     job->cacheKeys.reserve(n);
     std::size_t cached = 0;
     for (std::size_t i = 0; i < n; i++) {
-        std::string key = cache_.keyFor(job->points[i],
-                                        job->plan.points[i].label,
-                                        job->plan.points[i].seed);
+        std::string key = cache_.keyFor(job->points[i], plan[i].label,
+                                        plan[i].seed);
         if (cache_.contains(key))
             cached++;
         job->cacheKeys.push_back(std::move(key));
@@ -222,37 +216,27 @@ PointScheduler::start(std::uint64_t id)
     if (jobs_.find(id) == jobs_.end())
         return; // everything was cached; the job is already done
 
-    // Shard the cold points along plan groups. A key another job is
-    // already computing (or queueing) is joined as a waiter instead of
-    // recomputed -- concurrent submissions compute each point once.
+    // Queue the cold points, one task each, in submission order. A key
+    // another job is already computing (or queueing) is joined as a
+    // waiter instead of recomputed -- concurrent submissions compute
+    // each point once.
     std::size_t tasks = 0;
-    for (const SweepPlan::Batch &b : job.plan.batches) {
-        for (const SweepPlan::Group &g : b.groups) {
-            Task task;
-            for (std::size_t idx : g.members) {
-                if (job.state[idx] != Job::Pending)
-                    continue;
-                const std::string &ikey = job.ikeys[idx];
-                auto it = inflight_.find(ikey);
-                if (it != inflight_.end()) {
-                    it->second.waiters.emplace_back(id, idx);
-                    continue;
-                }
-                Inflight entry;
-                entry.origin = id;
-                entry.waiters.emplace_back(id, idx);
-                inflight_[ikey] = std::move(entry);
-                TaskMember m;
-                m.ikey = ikey;
-                m.persist = !job.cacheKeys[idx].empty();
-                m.point = job.points[idx];
-                task.members.push_back(std::move(m));
-            }
-            if (!task.members.empty()) {
-                queue_.push_back(std::move(task));
-                tasks++;
-            }
+    for (std::size_t idx = 0; idx < job.total(); idx++) {
+        if (job.state[idx] != Job::Pending)
+            continue;
+        const std::string &ikey = job.ikeys[idx];
+        auto it = inflight_.find(ikey);
+        if (it != inflight_.end()) {
+            it->second.waiters.emplace_back(id, idx);
+            continue;
         }
+        Inflight entry;
+        entry.origin = id;
+        entry.waiters.emplace_back(id, idx);
+        inflight_[ikey] = std::move(entry);
+        queue_.push_back(
+            Task{ikey, !job.cacheKeys[idx].empty(), job.points[idx]});
+        tasks++;
     }
     for (std::size_t i = 0; i < tasks; i++)
         workCv_.notify_one();
@@ -344,7 +328,7 @@ PointScheduler::workerLoop()
             queue_.pop_front();
             runningTasks_++;
         }
-        executeTask(std::move(task));
+        executeTask(task);
         {
             MutexLock lock(mutex_);
             runningTasks_--;
@@ -355,41 +339,27 @@ PointScheduler::workerLoop()
 }
 
 void
-PointScheduler::executeTask(Task task)
+PointScheduler::executeTask(const Task &task)
 {
-    // Claim: keep only members somebody still wants. An entry whose
+    // Claim the point unless nobody wants it any more: an entry whose
     // waiters all cancelled is dropped here without simulating.
-    std::vector<TaskMember> live;
     {
         MutexLock lock(mutex_);
-        for (TaskMember &m : task.members) {
-            auto it = inflight_.find(m.ikey);
-            if (it == inflight_.end())
-                continue;
-            if (it->second.waiters.empty()) {
-                inflight_.erase(it);
-                continue;
-            }
-            it->second.running = true;
-            live.push_back(std::move(m));
+        auto it = inflight_.find(task.ikey);
+        if (it == inflight_.end())
+            return;
+        if (it->second.waiters.empty()) {
+            inflight_.erase(it);
+            return;
         }
+        it->second.running = true;
     }
-    if (live.empty())
-        return;
 
-    std::vector<RunPoint> pts;
-    pts.reserve(live.size());
-    for (const TaskMember &m : live)
-        pts.push_back(m.point);
-
-    // The members are one plan group, so the batched engine still
-    // shares their stream and warmup; results are byte-identical to
-    // runSweep() either way. ScopedPanicRethrow turns a panic inside
-    // one point (livelock guard, construction assert) into a SimError
-    // that fails just this task's points.
+    // ScopedPanicRethrow turns a panic inside the point (livelock
+    // guard, construction assert) into a SimError that fails just this
+    // point.
     SweepOptions opts;
     opts.threads = 1;
-    opts.deriveSeeds = true;
     opts.checkpoints = cfg_.checkpoints;
     SweepResult res;
     bool run_failed = false;
@@ -397,57 +367,53 @@ PointScheduler::executeTask(Task task)
 #if defined(__cpp_exceptions) || defined(__EXCEPTIONS)
     try {
         ScopedPanicRethrow rethrow;
-        res = runSweepBatched(pts, opts);
+        res = runSweep({task.point}, opts);
     } catch (const SimError &e) {
         run_failed = true;
         error = e.what();
     }
 #else
-    res = runSweepBatched(pts, opts);
+    res = runSweep({task.point}, opts);
 #endif
 
-    std::vector<std::string> payloads(live.size());
+    std::string payload;
+    bool warm = false;
     if (!run_failed) {
-        for (std::size_t i = 0; i < live.size(); i++) {
-            payloads[i] = pointPayloadJson(res.runs[i].result,
-                                           res.runs[i].seed,
-                                           pts[i].warmup,
-                                           pts[i].measure);
-            if (live[i].persist)
-                cache_.store(live[i].ikey, payloads[i]);
-        }
+        const SweepRun &run = res.runs[0];
+        payload = pointPayloadJson(run.result, run.seed, task.point.warmup,
+                                   task.point.measure);
+        warm = run.warmStart;
+        if (task.persist)
+            cache_.store(task.ikey, payload);
     }
 
     MutexLock lock(mutex_);
-    for (std::size_t i = 0; i < live.size(); i++) {
-        auto it = inflight_.find(live[i].ikey);
-        if (it == inflight_.end())
+    auto it = inflight_.find(task.ikey);
+    if (it == inflight_.end())
+        return;
+    std::uint64_t origin = it->second.origin;
+    std::vector<std::pair<std::uint64_t, std::size_t>> waiters =
+        std::move(it->second.waiters);
+    inflight_.erase(it);
+    for (const auto &w : waiters) {
+        auto jit = jobs_.find(w.first);
+        if (jit == jobs_.end())
             continue;
-        std::uint64_t origin = it->second.origin;
-        std::vector<std::pair<std::uint64_t, std::size_t>> waiters =
-            std::move(it->second.waiters);
-        inflight_.erase(it);
-        for (const auto &w : waiters) {
-            auto jit = jobs_.find(w.first);
-            if (jit == jobs_.end())
-                continue;
-            Job &job = *jit->second;
-            if (job.state[w.second] != Job::Pending)
-                continue;
-            if (run_failed) {
-                deliverFailure(job, w.second, error);
-            } else {
-                deliverPayload(job, w.second, payloads[i],
-                               w.first == origin ? PointSource::Computed
-                                                 : PointSource::Merged);
-                // A warm start benefits every waiter equally: each
-                // received this point without its warmup being
-                // re-simulated.
-                if (res.runs[i].warmStart)
-                    job.warmHits++;
-            }
-            maybeFinishLocked(w.first);
+        Job &job = *jit->second;
+        if (job.state[w.second] != Job::Pending)
+            continue;
+        if (run_failed) {
+            deliverFailure(job, w.second, error);
+        } else {
+            deliverPayload(job, w.second, payload,
+                           w.first == origin ? PointSource::Computed
+                                             : PointSource::Merged);
+            // A warm start benefits every waiter equally: each received
+            // this point without its warmup being re-simulated.
+            if (warm)
+                job.warmHits++;
         }
+        maybeFinishLocked(w.first);
     }
 }
 

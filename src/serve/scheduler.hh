@@ -4,12 +4,11 @@
  *
  * A job is one submitted preset sweep. The scheduler expands it through
  * the canonical plan (sim/plan.hh), replays every point already in the
- * content-addressed cache, and shards the rest across a fixed worker
- * pool as plan-group tasks (so points that could share a warmup still
- * do, via runSweepBatched). Cold points wanted by several concurrent
- * jobs compute exactly once: the first job owns the in-flight entry,
- * later jobs attach as waiters and receive the same payload bytes
- * marked `merged`.
+ * content-addressed cache, and queues the rest on a fixed worker pool,
+ * one point per task, each run by runSweep(). Cold points wanted by
+ * several concurrent jobs compute exactly once: the first job owns the
+ * in-flight entry, later jobs attach as waiters and receive the same
+ * payload bytes marked `merged`.
  *
  * Delivery is push-based: per-job callbacks fire under the scheduler
  * lock as points resolve, in resolution order, with a running
@@ -43,7 +42,6 @@
 #include "common/thread_annotations.hh"
 #include "serve/cache.hh"
 #include "serve/protocol.hh"
-#include "sim/plan.hh"
 #include "sim/sweep.hh"
 
 namespace clustersim {
@@ -141,7 +139,7 @@ class PointScheduler
     struct Inflight;
 
     void workerLoop() CSIM_EXCLUDES(mutex_);
-    void executeTask(Task task) CSIM_EXCLUDES(mutex_);
+    void executeTask(const Task &task) CSIM_EXCLUDES(mutex_);
     void deliverPayload(Job &job, std::size_t index,
                         const std::string &payload, PointSource source)
         CSIM_REQUIRES(mutex_);

@@ -1,7 +1,6 @@
 #include "sim/plan.hh"
 
 #include <cstring>
-#include <map>
 
 namespace clustersim {
 
@@ -72,25 +71,6 @@ keyPhase(std::string &k, const PhaseSpec &p)
     keyI(k, p.chaseRegionKB);
     keyU(k, p.uniformBlockMix ? 1 : 0);
     keyU(k, p.meanPhaseLen);
-}
-
-/** Warmup-sharing identity within one stream: config + warmup +
- *  controller. A controller without a key is never shared. */
-std::string
-warmupKey(const RunPoint &p, std::size_t index)
-{
-    std::string k;
-    appendConfigKey(k, p.cfg);
-    keyU(k, p.warmup);
-    if (p.makeController) {
-        if (p.controllerKey.empty())
-            keyS(k, "unshared-" + std::to_string(index));
-        else
-            keyS(k, "ctrl-" + p.controllerKey);
-    } else {
-        keyS(k, "no-controller");
-    }
-    return k;
 }
 
 } // namespace
@@ -198,40 +178,7 @@ planPoints(const std::vector<RunPoint> &points, bool derive_seeds)
 SweepPlan
 planSweep(const std::vector<RunPoint> &points, bool derive_seeds)
 {
-    SweepPlan plan;
-    plan.points = planPoints(points, derive_seeds);
-
-    // std::map keeps planning deterministic (D003); first-appearance
-    // order is preserved for batches and groups, submission order for
-    // group members.
-    std::map<std::string, std::size_t> batch_of;
-    std::map<std::string, std::pair<std::size_t, std::size_t>> group_of;
-    for (std::size_t i = 0; i < points.size(); i++) {
-        const RunPoint &p = points[i];
-        WorkloadSpec w = p.workload;
-        w.seed = plan.points[i].seed;
-
-        std::string skey;
-        appendWorkloadKey(skey, w);
-        auto [bit, bfresh] = batch_of.try_emplace(skey,
-                                                  plan.batches.size());
-        if (bfresh)
-            plan.batches.emplace_back();
-        SweepPlan::Batch &batch = plan.batches[bit->second];
-
-        std::string gkey = skey + warmupKey(p, i);
-        auto gi = group_of.find(gkey);
-        if (gi == group_of.end()) {
-            group_of.emplace(gkey,
-                             std::make_pair(bit->second,
-                                            batch.groups.size()));
-            batch.groups.emplace_back();
-            batch.groups.back().members.push_back(i);
-        } else {
-            batch.groups[gi->second.second].members.push_back(i);
-        }
-    }
-    return plan;
+    return {planPoints(points, derive_seeds)};
 }
 
 bool

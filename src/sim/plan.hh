@@ -1,23 +1,21 @@
 /**
  * @file
  * Canonical sweep planning: the single source of truth for how a list
- * of RunPoints maps to per-point identities (label, derived seed) and
- * to the deterministic grouping/ordering the batched driver executes.
+ * of RunPoints maps to per-point identities (label, derived seed).
  *
- * Three consumers share this module so they can never drift apart:
+ * Two consumers share this module so they can never drift apart:
  *
  *  - runSweep() derives each point's label and seed from planPoints();
- *  - runSweepBatched() executes the batches of planSweep() verbatim;
  *  - the sweep server (src/serve/) keys its content-addressed result
- *    cache on pointIdentityKey() and shards work along plan groups, so
- *    a cache-replayed report is assembled in exactly the order the CLI
- *    engines would have produced it.
+ *    cache on pointIdentityKey(), and the warmup-checkpoint store keys
+ *    on warmupIdentityKey(), so a cache-replayed report carries exactly
+ *    the entries the CLI engine would have produced.
  *
  * The byte-key serializers enumerate every field that influences a
  * simulated outcome, in declaration order, with separators (doubles as
  * bit patterns: identity wants exactness, not numeric closeness). A
- * field missed here could silently group points that should differ or
- * alias two distinct cache entries -- keep them exhaustive.
+ * field missed here could silently alias two distinct cache entries --
+ * keep them exhaustive.
  */
 
 #ifndef CLUSTERSIM_SIM_PLAN_HH
@@ -48,25 +46,13 @@ struct PlannedPoint {
 std::vector<PlannedPoint> planPoints(const std::vector<RunPoint> &points,
                                      bool derive_seeds);
 
-/**
- * The canonical execution plan of a sweep: points in submission order
- * plus the deterministic batch/group structure. Points sharing one
- * instruction stream (same workload spec and derived seed) form a
- * batch, in first-appearance order; within a batch, points that also
- * share (config, warmup, controller identity) form a warmup group, in
- * first-appearance order, members in submission order.
- */
+/** A sweep's planned points, in submission order. */
 struct SweepPlan {
-    struct Group {
-        std::vector<std::size_t> members; ///< submission indices
-    };
-    struct Batch {
-        std::vector<Group> groups;
-    };
-    std::vector<PlannedPoint> points;     ///< submission order
-    std::vector<Batch> batches;           ///< first-appearance order
+    std::vector<PlannedPoint> points;
 };
 
+/** planPoints() wrapped in a SweepPlan, for callers that take the plan
+ *  whole. */
 SweepPlan planSweep(const std::vector<RunPoint> &points,
                     bool derive_seeds);
 
@@ -80,7 +66,7 @@ void appendWorkloadKey(std::string &k, const WorkloadSpec &w);
  * Whether a point's simulated outcome is fully captured by its declared
  * identity. False only for points with a controller factory but an
  * empty controllerKey: std::function is opaque, so such points can
- * neither share warmups nor be result-cached (always correct, just
+ * neither be checkpointed nor result-cached (always correct, just
  * never memoized).
  */
 bool pointCacheable(const RunPoint &p);

@@ -72,7 +72,7 @@ SimResult runSimulation(const ProcessorConfig &cfg,
  * proc.resetStats() (or restored a post-warmup, post-reset snapshot).
  * Fills every SimResult field except benchmark/config, which describe
  * the run point and are set by the caller. runSimulation() and the
- * batched sweep driver both delegate here, so a restored run is
+ * checkpointed sweep path both delegate here, so a restored run is
  * metric-extracted identically to a straight-line one.
  */
 SimResult measureWindow(Processor &proc, std::uint64_t measure);

@@ -41,8 +41,8 @@ secondsSince(Clock::time_point t0)
  * state from the store when a valid blob exists and persisting it when
  * not. The replayed stream is the same instruction sequence the
  * synthetic generator feeds runSimulation(), so results stay
- * bit-identical to the cold path (the batched/unbatched byte-identity
- * contract). Returns whether the warmup was restored rather than run.
+ * bit-identical to the cold path. Returns whether the warmup was
+ * restored rather than run.
  */
 bool
 runCheckpointed(WarmupCheckpointStore &store, const std::string &key,
@@ -63,24 +63,19 @@ runCheckpointed(WarmupCheckpointStore &store, const std::string &key,
     ReplaySource src(buffer);
     Processor proc(cfg, &src, controller);
 
-    // load -> miss -> lease -> load again (the prior holder may have
-    // stored while we waited) -> on a second miss, compute and store.
+    // On a miss the lease is held until the warmup is stored, so a
+    // concurrent point with the same key restores it instead of
+    // recomputing. A payload that fails to deserialize (stale snapshot
+    // format) is recomputed and overwritten.
+    WarmupCheckpointStore::ComputeLease lease;
+    std::optional<std::string> payload = store.loadOrLease(key, lease);
     bool restored = false;
-    auto try_restore = [&]() {
-        std::optional<std::string> payload = store.load(key);
-        if (!payload)
-            return;
+    if (payload) {
         Processor::Snapshot donor = proc.snapshot();
         if (deserializeSnapshot(*payload, donor)) {
             proc.restore(donor);
             restored = true;
         }
-    };
-    WarmupCheckpointStore::ComputeLease lease;
-    try_restore();
-    if (!restored) {
-        lease = store.beginCompute({key});
-        try_restore();
     }
     if (!restored) {
         proc.run(warmup);
@@ -159,8 +154,8 @@ runSweep(const std::vector<RunPoint> &points, const SweepOptions &opts)
     std::atomic<std::size_t> next{0};
     Mutex complete_mutex;
 
-    // Canonical per-point identities, shared with the batched driver
-    // and the serve-layer cache (sim/plan.hh).
+    // Canonical per-point identities, shared with the serve-layer
+    // cache (sim/plan.hh).
     std::vector<PlannedPoint> plan = planPoints(points,
                                                 opts.deriveSeeds);
 
@@ -175,6 +170,9 @@ runSweep(const std::vector<RunPoint> &points, const SweepOptions &opts)
             const std::string &label = plan[i].label;
             w.seed = plan[i].seed;
 
+            // simlint-ignore(D002): timing-only bookkeeping, never a
+            // sim input
+            Clock::time_point run_start = Clock::now();
             std::unique_ptr<ReconfigController> ctrl;
             if (p.makeController)
                 ctrl = p.makeController();
@@ -189,9 +187,6 @@ runSweep(const std::vector<RunPoint> &points, const SweepOptions &opts)
             if (opts.checkpoints && opts.checkpoints->enabled())
                 ckpt_key = opts.checkpoints->keyFor(p, w.seed);
 
-            // simlint-ignore(D002): timing-only bookkeeping, never a
-            // sim input
-            Clock::time_point run_start = Clock::now();
             SweepRun &slot = out.runs[i];
             SimResult r;
             if (!ckpt_key.empty()) {

@@ -42,12 +42,11 @@ struct RunPoint {
     std::uint64_t warmup = defaultWarmup;
     std::uint64_t measure = defaultMeasure;
     /**
-     * Identity key of makeController's output, used by the batched
-     * driver to decide warmup sharing: two points may share one warmup
-     * (and its snapshot) only when their controller keys are equal and
-     * non-empty, or when neither has a controller. std::function is
-     * opaque, so points with a controller but an empty key are never
-     * grouped (always correct, just slower). Ignored by runSweep().
+     * Identity key of makeController's output, part of the point's
+     * identity for the result cache and its warmup's identity for the
+     * checkpoint store (sim/plan.hh). std::function is opaque, so a
+     * point with a controller but an empty key is never cached or
+     * checkpointed (always correct, just slower).
      */
     std::string controllerKey;
     /**
@@ -95,7 +94,9 @@ struct SweepOptions {
 struct SweepRun {
     SimResult result;
     std::uint64_t seed = 0;      ///< workload seed actually used
-    double wallSeconds = 0.0;    ///< this run alone
+    /** This run alone, controller factory included (the oracle's
+     *  probe runs happen there). */
+    double wallSeconds = 0.0;
     /** Warmup was restored from the checkpoint store, not simulated. */
     bool warmStart = false;
 };
@@ -120,33 +121,15 @@ std::uint64_t sweepSeed(std::uint64_t base, const std::string &benchmark,
 
 /**
  * Execute all points on a worker pool and return results in submission
- * order. Bit-identical output for any thread count.
+ * order. Bit-identical output for any thread count. This is the one
+ * way a point runs: tools/sweep calls it per sweep, the sweep server
+ * once per point. A point with a checkpoint key replays its stream and
+ * restores its warmup from opts.checkpoints (or warms up and stores
+ * it); any other point is fed inline by the synthetic generator. Both
+ * paths see the same instruction stream, so reports match either way.
  */
 SweepResult runSweep(const std::vector<RunPoint> &points,
                      const SweepOptions &opts = {});
-
-/**
- * Batched sweep: same contract and bit-identical results as
- * runSweep(), but amortizes shared work across points instead of
- * running each in isolation.
- *
- *  - Points whose (workload spec, derived seed) match replay one
- *    pre-generated instruction stream (a ReplayBuffer) instead of
- *    re-generating it per point.
- *  - Points that additionally match in (config, warmup, controller
- *    key) run warmup once: the post-warmup processor state is
- *    snapshotted and restored per point, so only the measurement
- *    windows are simulated separately. Instances of a batch are
- *    stepped round-robin in instruction slices for cache locality.
- *
- * Grouping is purely an execution strategy: per-point seeding, result
- * order, and the JSON report are byte-for-byte those of runSweep().
- * Sweeps whose points share nothing (e.g. derived seeds make every
- * stream unique) degrade gracefully to near-runSweep behaviour.
- * Batches run on the same worker pool, one batch per task.
- */
-SweepResult runSweepBatched(const std::vector<RunPoint> &points,
-                            const SweepOptions &opts = {});
 
 /** Serialize one SimResult as a JSON object. */
 void toJson(JsonWriter &w, const SimResult &r);

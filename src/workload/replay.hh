@@ -13,7 +13,7 @@
  * own lightweight ReplaySource cursor. Replay is bit-identical to
  * generation by construction (the buffer *is* the generator's output),
  * and ReplaySource::seek() is O(1), which makes post-warmup snapshot
- * restores cheap (see docs/PERF.md, "Batched multi-point simulation").
+ * restores cheap (see docs/PERF.md, "Warmup checkpoints").
  */
 
 #ifndef CLUSTERSIM_WORKLOAD_REPLAY_HH

@@ -1,10 +1,11 @@
 /**
  * @file
  * Tests for the sweep server stack (src/serve/): sha256 and canonical
- * JSON primitives, the NDJSON protocol parser, the content-addressed
- * result cache (key sensitivity, salt invalidation, corruption
- * detection), the point scheduler (dedup, backpressure, cancel, drain,
- * in-stream point failure via ScopedPanicRethrow), and a black-box
+ * JSON primitives, the NDJSON protocol parser, the result cache's
+ * point keys (sensitivity, salt invalidation; file-level store
+ * behaviour is in test_store.cc), the point scheduler (dedup,
+ * backpressure, cancel, drain, in-stream point failure via
+ * ScopedPanicRethrow), and a black-box
  * conformance rig that spawns the real sweepd binary and talks to it
  * over a socket -- pinning the contract that a served report is
  * byte-identical to `sweep --no-timing` output and that a warm
@@ -18,7 +19,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -398,105 +398,6 @@ TEST(Serve, CacheKeySaltInvalidates)
     CacheStore b("", "salt-b");
     RunPoint p = makeSweepPreset("smoke", 500, 2000)[0];
     EXPECT_NE(plannedKey(a, p), plannedKey(b, p));
-}
-
-// ---------------------------------------------------------------------------
-// cache: store/load
-// ---------------------------------------------------------------------------
-
-TEST(Serve, CacheRoundTripAndPersistence)
-{
-    TempDir dir;
-    std::string key(64, 'a');
-    std::string payload = "{\"benchmark\":\"x\",\"ipc\":0.5}";
-    {
-        CacheStore store(dir.path() + "/cache");
-        EXPECT_TRUE(store.enabled());
-        EXPECT_FALSE(store.contains(key));
-        EXPECT_FALSE(store.load(key).has_value());
-        store.store(key, payload);
-        EXPECT_TRUE(store.contains(key));
-        std::optional<std::string> got = store.load(key);
-        ASSERT_TRUE(got.has_value());
-        EXPECT_EQ(*got, payload); // byte-identical replay
-        CacheStats s = store.stats();
-        EXPECT_EQ(s.hits, 1u);
-        EXPECT_EQ(s.misses, 1u);
-        EXPECT_EQ(s.stores, 1u);
-        std::uint64_t entries = 0, bytes = 0;
-        store.diskUsage(entries, bytes);
-        EXPECT_EQ(entries, 1u);
-        EXPECT_GT(bytes, payload.size());
-    }
-    // A fresh store on the same directory (a daemon restart) replays.
-    CacheStore again(dir.path() + "/cache");
-    std::optional<std::string> got = again.load(key);
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(*got, payload);
-}
-
-TEST(Serve, CacheDetectsCorruption)
-{
-    TempDir dir;
-    CacheStore store(dir.path() + "/cache");
-    std::string key(64, 'b');
-    std::string payload(200, 'p');
-    store.store(key, payload);
-    std::string path = dir.path() + "/cache/" + key + ".cpt";
-
-    // Truncation: chop the tail off the payload.
-    {
-        std::ifstream in(path, std::ios::binary);
-        std::string file((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out << file.substr(0, file.size() / 2);
-    }
-    EXPECT_FALSE(store.load(key).has_value());
-    EXPECT_GE(store.stats().corrupt, 1u);
-
-    // Recompute path: a fresh store overwrites the corpse and hits.
-    store.store(key, payload);
-    ASSERT_TRUE(store.load(key).has_value());
-
-    // Bit rot: flip one payload byte; the embedded sha256 catches it.
-    {
-        std::fstream f(path,
-                       std::ios::binary | std::ios::in | std::ios::out);
-        std::string file((std::istreambuf_iterator<char>(f)),
-                         std::istreambuf_iterator<char>());
-        std::size_t pos = file.find('\n') + 10;
-        f.seekp(static_cast<std::streamoff>(pos));
-        char c = file[pos] == 'p' ? 'q' : 'p';
-        f.write(&c, 1);
-    }
-    std::uint64_t corrupt_before = store.stats().corrupt;
-    EXPECT_FALSE(store.load(key).has_value());
-    EXPECT_GT(store.stats().corrupt, corrupt_before);
-
-    // Wrong-key content (a mis-filed entry) is corruption too.
-    std::string other(64, 'c');
-    store.store(other, payload);
-    std::string other_path = dir.path() + "/cache/" + other + ".cpt";
-    {
-        std::ifstream in(other_path, std::ios::binary);
-        std::string file((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out << file;
-    }
-    EXPECT_FALSE(store.load(key).has_value());
-}
-
-TEST(Serve, CacheDisabledStoreMissesEverything)
-{
-    CacheStore store("");
-    EXPECT_FALSE(store.enabled());
-    std::string key(64, 'd');
-    store.store(key, "payload");
-    EXPECT_FALSE(store.contains(key));
-    EXPECT_FALSE(store.load(key).has_value());
-    EXPECT_EQ(store.stats().stores, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -936,15 +837,15 @@ TEST(Serve, SchedulerStressAnnotatedInvariants)
 
     // The checkpoint store was really in the loop: cold warmups were
     // persisted and later rounds leased or restored them. (One stored
-    // checkpoint can serve several batched points, so no equality
-    // against warm-hit sums.)
+    // checkpoint serves every job that recomputes its point, so no
+    // equality against warm-hit sums.)
     EXPECT_GT(ckpt.stats().stores, 0u);
     EXPECT_GT(ckpt.stats().hits, 0u);
 }
 
 // ---------------------------------------------------------------------------
-// canonical planning (sim/plan) -- the ordering contract the CLI
-// batched driver and the server cache both execute verbatim
+// canonical planning (sim/plan) -- the per-point identities the CLI
+// engine and the server cache both use
 // ---------------------------------------------------------------------------
 
 TEST(Serve, PlanPointsDerivesLabelsAndSeeds)
@@ -973,71 +874,14 @@ TEST(Serve, PlanSweepCoversEveryPointExactlyOnce)
     for (const std::string &name : sweepPresetNames()) {
         std::vector<RunPoint> points = makeSweepPreset(name);
         SweepPlan plan = planSweep(points, true);
-        std::vector<int> seen(points.size(), 0);
-        for (const SweepPlan::Batch &b : plan.batches)
-            for (const SweepPlan::Group &g : b.groups) {
-                // Group members arrive in submission order.
-                for (std::size_t j = 1; j < g.members.size(); j++)
-                    EXPECT_LT(g.members[j - 1], g.members[j]);
-                for (std::size_t idx : g.members) {
-                    ASSERT_LT(idx, seen.size());
-                    seen[idx]++;
-                }
-            }
-        for (std::size_t i = 0; i < seen.size(); i++)
-            EXPECT_EQ(seen[i], 1)
-                << name << ": point " << i << " planned " << seen[i]
-                << " times";
+        std::vector<PlannedPoint> expect = planPoints(points, true);
+        ASSERT_EQ(plan.points.size(), points.size()) << name;
+        for (std::size_t i = 0; i < points.size(); i++) {
+            EXPECT_EQ(plan.points[i].index, i) << name;
+            EXPECT_EQ(plan.points[i].label, expect[i].label) << name;
+            EXPECT_EQ(plan.points[i].seed, expect[i].seed) << name;
+        }
     }
-}
-
-TEST(Serve, PlanSweepGroupsSharedStreamsDeterministically)
-{
-    // Hand-built points: a/b share workload+seed+config+warmup (one
-    // group), c shares the stream but differs in config (second group,
-    // same batch), d is a different stream entirely (second batch).
-    std::vector<RunPoint> points = makeSweepPreset("smoke", 500, 2000);
-    ASSERT_GE(points.size(), 2u);
-    RunPoint a = points[0];
-    a.label = "";
-    RunPoint b = a, c = a, d = a;
-    b.measure += 1000; // same stream, same warmup group
-    c.cfg = points[1].cfg;
-    c.label = ""; // same stream, different config
-    d.workload.seed += 7; // different stream
-    std::vector<RunPoint> custom = {a, b, c, d};
-
-    SweepPlan plan = planSweep(custom, /*derive_seeds=*/false);
-    ASSERT_EQ(plan.batches.size(), 2u);
-    ASSERT_EQ(plan.batches[0].groups.size(), 2u);
-    EXPECT_EQ(plan.batches[0].groups[0].members,
-              (std::vector<std::size_t>{0, 1}));
-    EXPECT_EQ(plan.batches[0].groups[1].members,
-              (std::vector<std::size_t>{2}));
-    ASSERT_EQ(plan.batches[1].groups.size(), 1u);
-    EXPECT_EQ(plan.batches[1].groups[0].members,
-              (std::vector<std::size_t>{3}));
-
-    // The plan is a pure function of its input.
-    SweepPlan again = planSweep(custom, false);
-    ASSERT_EQ(again.batches.size(), plan.batches.size());
-    for (std::size_t i = 0; i < plan.batches.size(); i++) {
-        ASSERT_EQ(again.batches[i].groups.size(),
-                  plan.batches[i].groups.size());
-        for (std::size_t j = 0; j < plan.batches[i].groups.size(); j++)
-            EXPECT_EQ(again.batches[i].groups[j].members,
-                      plan.batches[i].groups[j].members);
-    }
-
-    // With derived seeds a and c get different per-point seeds (labels
-    // differ), splitting the stream into more batches -- but coverage
-    // still holds.
-    SweepPlan derived = planSweep(custom, true);
-    std::size_t covered = 0;
-    for (const SweepPlan::Batch &bb : derived.batches)
-        for (const SweepPlan::Group &g : bb.groups)
-            covered += g.members.size();
-    EXPECT_EQ(covered, custom.size());
 }
 
 TEST(Serve, PlanIdentityKeyMatchesByteIdentity)

@@ -1,18 +1,14 @@
 /**
  * @file
- * Checkpoint/restore and batched-sweep correctness.
+ * Replay and checkpoint/restore correctness.
  *
- * Three layers, each depending on the previous one:
+ * Two layers, the second depending on the first:
  *  - the ReplayBuffer reproduces the synthetic generator's stream
  *    exactly, and a run fed from it is bit-identical to one fed from
  *    the generator;
  *  - a restored post-warmup snapshot continues bit-identically to the
  *    uninterrupted run, across every controller family and both
- *    interconnect topologies, and restores any number of times;
- *  - the batched sweep driver's report is byte-for-byte the unbatched
- *    engine's, including when warmup-sharing groups actually form
- *    (the smoke preset derives a distinct seed per point, so it never
- *    exercises the multi-member snapshot-restore path on its own).
+ *    interconnect topologies, and restores any number of times.
  */
 
 #include <gtest/gtest.h>
@@ -124,7 +120,7 @@ TEST(Replay, RunFromBufferMatchesGeneratorRun)
 TEST(Snapshot, RestoredRunMatchesStraightLine)
 {
     // The restore() + run(k) == uninterrupted-run(k) property, the
-    // foundation of both the batched sweep and perfbench --batched,
+    // foundation of warm checkpoint starts and perfbench --batched,
     // across every controller family (static, interval-explore,
     // interval-ILP, fine-grained) and both interconnects. The snapshot
     // is restored twice, with a deliberately diverging run in between,
@@ -174,85 +170,4 @@ TEST(Snapshot, RestoredRunMatchesStraightLine)
             EXPECT_EQ(toJson(first), toJson(second));
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Batched sweep
-// ---------------------------------------------------------------------------
-
-TEST(Batched, SmokePresetReportByteIdenticalToUnbatched)
-{
-    // Derived seeds make every smoke point's stream unique, so this
-    // covers the degenerate one-member-per-batch path at both thread
-    // counts (the CI differential runs the same property through the
-    // sweep tool).
-    std::vector<RunPoint> points = makeSweepPreset("smoke", 5000, 20000);
-    SweepOptions serial;
-    serial.threads = 1;
-    SweepOptions parallel;
-    parallel.threads = 4;
-    std::string plain = sweepReportJson("smoke", points,
-                                        runSweep(points, serial), false);
-    EXPECT_EQ(plain, sweepReportJson("smoke", points,
-                                     runSweepBatched(points, serial),
-                                     false));
-    EXPECT_EQ(plain, sweepReportJson("smoke", points,
-                                     runSweepBatched(points, parallel),
-                                     false));
-}
-
-TEST(Batched, WarmupSharingGroupsMatchUnbatched)
-{
-    // deriveSeeds=false gives every point the same instruction stream,
-    // so the driver actually forms multi-member warmup groups and
-    // serves the non-lead members through snapshot restores:
-    //  - four controller-less points sharing (config, warmup) but
-    //    differing in measure length;
-    //  - two controller points sharing a non-empty controllerKey (the
-    //    controller-clone restore path);
-    //  - one controller point with an empty key (must never group);
-    //  - one point with a different warmup (its own group).
-    ProcessorConfig cfg = staticSubsetConfig(4);
-    WorkloadSpec w = makeBenchmark("gzip");
-
-    std::vector<RunPoint> points;
-    auto add = [&](const std::string &label, std::uint64_t warmup,
-                   std::uint64_t measure, bool controller,
-                   const std::string &key) {
-        RunPoint p;
-        p.label = label;
-        p.cfg = cfg;
-        p.workload = w;
-        p.warmup = warmup;
-        p.measure = measure;
-        if (controller)
-            p.makeController = [] { return makeExploreController(); };
-        p.controllerKey = key;
-        points.push_back(std::move(p));
-    };
-    add("shared-a", 5000, 20000, false, "");
-    add("shared-b", 5000, 30000, false, "");
-    add("shared-c", 5000, 20000, false, "");
-    add("shared-d", 5000, 25000, false, "");
-    add("ctrl-a", 5000, 15000, true, "explore-default");
-    add("ctrl-b", 5000, 30000, true, "explore-default");
-    add("ctrl-unkeyed", 5000, 15000, true, "");
-    add("other-warmup", 2000, 20000, false, "");
-
-    SweepOptions opts;
-    opts.threads = 1;
-    opts.deriveSeeds = false;
-    std::string plain =
-        sweepReportJson("grouped", points, runSweep(points, opts), false);
-    std::string batched = sweepReportJson(
-        "grouped", points, runSweepBatched(points, opts), false);
-    EXPECT_EQ(plain, batched);
-
-    // Same grid on several workers: grouping must not depend on which
-    // thread warms which batch.
-    SweepOptions threaded = opts;
-    threaded.threads = 4;
-    EXPECT_EQ(plain,
-              sweepReportJson("grouped", points,
-                              runSweepBatched(points, threaded), false));
 }

@@ -9,13 +9,18 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 
 #include "common/json.hh"
 #include "reconfig/interval_explore.hh"
+#include "sim/checkpoint.hh"
 #include "sim/plan.hh"
 #include "sim/presets.hh"
 #include "sim/sweep.hh"
@@ -240,6 +245,29 @@ TEST(Sweep, OnCompleteSeesEveryRun)
     runSweep(points, opts);
     for (std::size_t i = 0; i < seen.size(); i++)
         EXPECT_TRUE(seen[i]) << i;
+}
+
+TEST(Sweep, RunTimeIncludesControllerFactory)
+{
+    // A point's factory is part of its cost -- the oracle runs its probe
+    // simulations there -- so a slow factory must show in the run's
+    // wallSeconds and hence in cpuSeconds() and speedup().
+    const std::chrono::milliseconds factoryTime(50);
+    const double factorySeconds = 0.05;
+    RunPoint p = smallGrid()[0];
+    p.warmup = 1000;
+    p.measure = 2000;
+    p.makeController = [factoryTime] {
+        std::this_thread::sleep_for(factoryTime);
+        return std::unique_ptr<ReconfigController>();
+    };
+    SweepOptions opts;
+    opts.threads = 1;
+    SweepResult res = runSweep({p}, opts);
+    ASSERT_EQ(res.runs.size(), 1u);
+    EXPECT_GE(res.runs[0].wallSeconds, factorySeconds);
+    EXPECT_GE(res.cpuSeconds(), factorySeconds);
+    EXPECT_LE(res.runs[0].wallSeconds, res.wallSeconds);
 }
 
 TEST(Sweep, ConcurrentCallbackStress)
@@ -484,18 +512,30 @@ TEST(Tournament, GridRacesSixKeyedPoliciesPerBenchmarkOnOneStream)
 
 TEST(Tournament, ReportByteIdenticalAcrossEnginesAndRanked)
 {
+    // Both per-point paths: the inline generator (no store), and
+    // replay plus warm-and-store, then restore, through a checkpoint
+    // store on four workers.
     std::vector<RunPoint> points =
         makeSweepPreset("tournament", 1000, 2000);
     SweepOptions serial;
     serial.threads = 1;
-    SweepOptions parallel;
-    parallel.threads = 4;
     std::string a = sweepReportJson("tournament", points,
                                     runSweep(points, serial), false);
-    std::string b =
-        sweepReportJson("tournament", points,
-                        runSweepBatched(points, parallel), false);
-    EXPECT_EQ(a, b);
+    char tmpl[] = "/tmp/clustersim-tourney-XXXXXX";
+    ASSERT_NE(mkdtemp(tmpl), nullptr);
+    {
+        WarmupCheckpointStore store(std::string(tmpl) + "/ckpt");
+        SweepOptions parallel;
+        parallel.threads = 4;
+        parallel.checkpoints = &store;
+        for (const char *pass : {"cold", "warm"})
+            EXPECT_EQ(a, sweepReportJson("tournament", points,
+                                         runSweep(points, parallel),
+                                         false))
+                << pass;
+        EXPECT_EQ(store.stats().hits, points.size());
+    }
+    std::filesystem::remove_all(tmpl);
 
     // The tournament report carries the ranked table: one row per
     // policy with the scoring fields.

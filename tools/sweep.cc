@@ -4,7 +4,7 @@
  * the worker-pool sweep engine and emit a structured JSON report.
  *
  *   sweep --preset table3 [--threads N] [--out report.json]
- *         [--warmup N] [--measure N] [--batched] [--no-timing]
+ *         [--warmup N] [--measure N] [--no-timing]
  *         [--checkpoints DIR] [--checkpoint-salt TAG] [--quiet]
  *   sweep --list
  *
@@ -13,8 +13,7 @@
  * pair, independent of scheduling order. The report logs total wall
  * clock, the serial-equivalent cpu time, and the observed speedup;
  * --no-timing drops those fields so the whole report file is
- * byte-identical across thread counts — and, with --batched, across
- * the batched and unbatched execution strategies (CI diffs the two).
+ * byte-identical across thread counts (CI diffs them).
  *
  * With --checkpoints, post-warmup machine states persist in a
  * warmup-checkpoint store: a second run of the same preset restores
@@ -54,9 +53,6 @@ usage(const char *prog, int code)
                  "(default: preset)\n"
                  "  --measure N     measured instructions per run "
                  "(default: preset)\n"
-                 "  --batched       run via the batched driver "
-                 "(shared streams + warmup snapshots; identical "
-                 "results)\n"
                  "  --no-timing     omit wall-clock fields from the "
                  "report (byte-identical across thread counts)\n"
                  "  --checkpoints DIR\n"
@@ -82,7 +78,6 @@ main(int argc, char **argv)
     std::uint64_t measure = 0;
     bool include_timing = true;
     bool quiet = false;
-    bool batched = false;
     std::string ckpt_dir;
     std::string ckpt_salt = defaultCheckpointSalt;
 
@@ -112,8 +107,6 @@ main(int argc, char **argv)
             warmup = std::strtoull(need("--warmup"), nullptr, 10);
         } else if (arg == "--measure") {
             measure = std::strtoull(need("--measure"), nullptr, 10);
-        } else if (arg == "--batched") {
-            batched = true;
         } else if (arg == "--no-timing") {
             include_timing = false;
         } else if (arg == "--checkpoints") {
@@ -162,8 +155,7 @@ main(int argc, char **argv)
         };
     }
 
-    SweepResult res =
-        batched ? runSweepBatched(points, opts) : runSweep(points, opts);
+    SweepResult res = runSweep(points, opts);
     std::string report = sweepReportJson(preset, points, res,
                                          include_timing);
 
