@@ -316,23 +316,47 @@ TEST(Decentralized, PerfectBankPredictionHelps)
 // Sensitivity configurations run end-to-end (Section 6)
 // ---------------------------------------------------------------------------
 
+namespace {
+
+struct SensitivityVariant
+{
+    const char *name;
+    ProcessorConfig (*config)();
+};
+
+/**
+ * Names the variant in test listings (ctest shows ".../slowHops"); a
+ * bare function pointer would print its address, which changes from
+ * one process to the next.
+ */
+void
+PrintTo(const SensitivityVariant &variant, std::ostream *os)
+{
+    *os << variant.name;
+}
+
+} // namespace
+
 class SensitivitySmoke
-    : public ::testing::TestWithParam<ProcessorConfig (*)()>
+    : public ::testing::TestWithParam<SensitivityVariant>
 {
 };
 
 TEST_P(SensitivitySmoke, RunsGzip)
 {
     WorkloadSpec w = makeBenchmark("gzip");
-    SimResult r = runSimulation(GetParam()(), w, nullptr, kWarm, 60000);
+    SimResult r = runSimulation(GetParam().config(), w, nullptr, kWarm,
+                                60000);
     EXPECT_GT(r.ipc, 0.05);
 }
 
-INSTANTIATE_TEST_SUITE_P(Variants, SensitivitySmoke,
-                         ::testing::Values(&fewerResourcesConfig,
-                                           &moreResourcesConfig,
-                                           &moreFusConfig,
-                                           &slowHopsConfig));
+INSTANTIATE_TEST_SUITE_P(
+    Variants, SensitivitySmoke,
+    ::testing::Values(
+        SensitivityVariant{"fewerResources", &fewerResourcesConfig},
+        SensitivityVariant{"moreResources", &moreResourcesConfig},
+        SensitivityVariant{"moreFus", &moreFusConfig},
+        SensitivityVariant{"slowHops", &slowHopsConfig}));
 
 TEST(Sensitivity, SlowHopsHurtSixteenClusters)
 {

@@ -19,6 +19,7 @@
 #include "interconnect/ring.hh"
 
 using namespace clustersim;
+using namespace std::string_literals;
 
 // ---------------------------------------------------------------------------
 // Ring
@@ -220,16 +221,18 @@ TEST(Network, GridNetworkRoutes)
 // Property tests over both topologies
 // ---------------------------------------------------------------------------
 
+// The kind is a std::string, not a const char *, so test listings print
+// ("ring", 4) rather than the literal's address, and ctest names stay the
+// same from one discovery run to the next.
 class TopologyProperty
-    : public ::testing::TestWithParam<std::pair<const char *, int>>
+    : public ::testing::TestWithParam<std::pair<std::string, int>>
 {
   protected:
     std::unique_ptr<Topology>
     make() const
     {
-        auto [kind, nodes] = GetParam();
-        return std::string(kind) == "ring" ? makeRing(nodes)
-                                           : makeGrid(nodes);
+        const auto &[kind, nodes] = GetParam();
+        return kind == "ring" ? makeRing(nodes) : makeGrid(nodes);
     }
 };
 
@@ -322,6 +325,6 @@ TEST(TopologyPaper, PinnedHopMaximaByExhaustion)
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, TopologyProperty,
-    ::testing::Values(std::pair{"ring", 4}, std::pair{"ring", 16},
-                      std::pair{"grid", 16}, std::pair{"grid", 8},
-                      std::pair{"ring", 5}, std::pair{"grid", 12}));
+    ::testing::Values(std::pair{"ring"s, 4}, std::pair{"ring"s, 16},
+                      std::pair{"grid"s, 16}, std::pair{"grid"s, 8},
+                      std::pair{"ring"s, 5}, std::pair{"grid"s, 12}));
