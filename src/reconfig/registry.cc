@@ -1,7 +1,7 @@
 #include "reconfig/registry.hh"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
 #include <cstdlib>
 #include <set>
 
@@ -70,15 +70,6 @@ paramF64(const PolicyParams &params, const std::string &key, double def)
     return v;
 }
 
-/** Shortest round-trip-stable decimal ("%g": 0.3, 80, 10000). */
-std::string
-numStr(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%g", v);
-    return buf;
-}
-
 /** Canonical `policy{k=v;...}` key; pairs must be pre-sorted. */
 std::string
 canonicalKey(const std::string &policy,
@@ -134,7 +125,7 @@ buildIvlIlp(const PolicyParams &params)
     p.distantPerMille = paramF64(params, "distant-per-mille", 300.0);
     return {canonicalKey(
                 "ivl-ilp",
-                {{"distant-per-mille", numStr(p.distantPerMille)},
+                {{"distant-per-mille", canonicalNumber(p.distantPerMille)},
                  {"interval", std::to_string(p.intervalLength)}}),
             [p] { return std::make_unique<IntervalIlpController>(p); }};
 }
@@ -176,10 +167,10 @@ buildIneffectuality(const PolicyParams &params)
     p.ungateThreshold = paramF64(params, "ungate", 0.15);
     return {canonicalKey(
                 "ineffectuality",
-                {{"gate", numStr(p.gateThreshold)},
+                {{"gate", canonicalNumber(p.gateThreshold)},
                  {"interval", std::to_string(p.intervalLength)},
-                 {"ungate", numStr(p.ungateThreshold)},
-                 {"waste", numStr(p.wastePerMispredict)}}),
+                 {"ungate", canonicalNumber(p.ungateThreshold)},
+                 {"waste", canonicalNumber(p.wastePerMispredict)}}),
             [p] {
                 return std::make_unique<IneffectualityController>(p);
             }};
@@ -217,6 +208,15 @@ extensions()
 }
 
 } // namespace
+
+std::string
+canonicalNumber(double v)
+{
+    char buf[32];
+    auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+    CSIM_ASSERT(ec == std::errc(), "unprintable number");
+    return std::string(buf, end);
+}
 
 ControllerHandle
 makeController(const std::string &policy, const PolicyParams &params)

@@ -62,6 +62,13 @@ struct ControllerHandle {
 ControllerHandle makeController(const std::string &policy,
                                 const PolicyParams &params = {});
 
+/**
+ * Canonical spelling of a real-valued parameter in a key: the shortest
+ * decimal that parses back to exactly `v` (0.3, 80, 10000, 1e+06).
+ * Distinct values get distinct spellings, however close they are.
+ */
+std::string canonicalNumber(double v);
+
 /** Registered policy names, sorted; built-ins plus runtime additions. */
 std::vector<std::string> controllerPolicies();
 

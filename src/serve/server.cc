@@ -24,7 +24,7 @@ namespace serve {
 /** Per-client state, shared between the reader thread and the
  *  scheduler callbacks that stream frames back. */
 struct SweepServer::Connection {
-    explicit Connection(int fd) : fd(fd) {}
+    explicit Connection(int socket_fd) : fd(socket_fd) {}
     ~Connection()
     {
         if (fd >= 0)

@@ -1,12 +1,12 @@
 #include "sim/oracle_policy.hh"
 
-#include <cstdio>
+#include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <memory>
 #include <utility>
 
 #include "common/logging.hh"
-#include "common/thread_annotations.hh"
 #include "reconfig/oracle.hh"
 #include "sim/presets.hh"
 #include "sim/simulation.hh"
@@ -101,20 +101,7 @@ class TrajectoryProbeController : public ReconfigController
     std::vector<int> targets_;
 };
 
-/** Lazily computed, shared schedule behind one handle's factory. */
-struct ScheduleCache {
-    mutable Mutex mutex;
-    bool computed CSIM_GUARDED_BY(mutex) = false;
-    OracleSchedule schedule CSIM_GUARDED_BY(mutex);
-};
-
-std::string
-numStr(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%g", v);
-    return buf;
-}
+} // namespace
 
 std::string
 oracleKey(const OraclePolicyParams &p)
@@ -129,10 +116,12 @@ oracleKey(const OraclePolicyParams &p)
            ";configs=" + cfgs +
            ";horizon=" + std::to_string(p.horizon) +
            ";interval=" + std::to_string(p.interval) +
-           ";penalty=" + numStr(p.penaltyCycles) +
+           ";penalty=" + canonicalNumber(p.penaltyCycles) +
            ";seed=" + std::to_string(p.seed) +
            ";warmup=" + std::to_string(p.warmup) + "}";
 }
+
+namespace {
 
 std::uint64_t
 requiredU64(const PolicyParams &params, const std::string &key)
@@ -147,9 +136,14 @@ requiredU64(const PolicyParams &params, const std::string &key)
     return v;
 }
 
-} // namespace
-
-namespace {
+/** Whole-string parse of a number; false on any leftover character. */
+template <typename T>
+bool
+parseWhole(const std::string &s, T &v)
+{
+    auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+    return ec == std::errc() && end == s.data() + s.size();
+}
 
 void
 checkOracleParams(const OraclePolicyParams &p)
@@ -176,7 +170,7 @@ oracleWorkload(const OraclePolicyParams &p)
  */
 std::vector<std::vector<TimeSeriesRow>>
 runFixedProbes(const OraclePolicyParams &p,
-               std::vector<std::uint64_t> *cycles)
+               std::vector<std::uint64_t> &cycles)
 {
     WorkloadSpec w = oracleWorkload(p);
     std::vector<std::vector<TimeSeriesRow>> rows;
@@ -186,44 +180,108 @@ runFixedProbes(const OraclePolicyParams &p,
                                     &probe, p.warmup,
                                     p.horizon - p.warmup);
         rows.push_back(probe.rows());
-        if (cycles)
-            cycles->push_back(r.cycles);
+        cycles.push_back(r.cycles);
     }
     return rows;
 }
 
-/** The reactive lineup the oracle must bound: one entry per tournament
- *  competitor, with the tournament's own parameters. */
-struct ReactiveProbe {
-    const char *policy;
-    PolicyParams params;
-};
-
-const std::vector<ReactiveProbe> &
-reactiveProbes()
+/** Run one reactive competitor on the oracle's stream, recording its
+ *  per-commit trajectory; returns its measure-window cycles. */
+std::uint64_t
+runReactiveCandidate(const OraclePolicyParams &p,
+                     const ReactiveCompetitor &c, std::vector<int> &targets)
 {
-    static const std::vector<ReactiveProbe> probes = {
-        {"ivl-explore", {}},
-        {"ivl-ilp", {{"interval", "10000"}}},
-        {"fg-branch", {}},
-        {"fg-subroutine", {}},
-        {"ineffectuality", {}},
-    };
-    return probes;
+    RunPoint pt = reactiveCandidatePoint(p, c);
+    TrajectoryProbeController probe(pt.makeController());
+    SimResult r = runSimulation(pt.cfg, pt.workload, &probe, pt.warmup,
+                                pt.measure);
+    targets = probe.targets();
+    return r.cycles;
 }
 
 } // namespace
 
-std::vector<int>
-computeOracleSchedule(const OraclePolicyParams &p)
+const std::vector<ReactiveCompetitor> &
+reactiveCompetitors()
 {
-    checkOracleParams(p);
-    return solveOracleSchedule(p.configs, runFixedProbes(p, nullptr),
-                               p.penaltyCycles);
+    static const std::vector<ReactiveCompetitor> lineup = {
+        {"ivl-explore", "ivl-explore", {}},
+        {"ivl-ilp-10K", "ivl-ilp", {{"interval", "10000"}}},
+        {"fg-branch", "fg-branch", {}},
+        {"fg-subroutine", "fg-subroutine", {}},
+        {"ineffectuality", "ineffectuality", {}},
+    };
+    return lineup;
+}
+
+RunPoint
+reactiveCandidatePoint(const OraclePolicyParams &p,
+                       const ReactiveCompetitor &c)
+{
+    ControllerHandle h = makeController(c.policy, c.params);
+    RunPoint pt;
+    pt.label = c.label;
+    pt.cfg = clusteredConfig(maxClusters);
+    pt.workload = oracleWorkload(p);
+    pt.makeController = std::move(h.make);
+    pt.controllerKey = std::move(h.key);
+    pt.warmup = p.warmup;
+    pt.measure = p.horizon - p.warmup;
+    return pt;
+}
+
+std::optional<OraclePolicyParams>
+oracleParamsFromKey(const std::string &key)
+{
+    const std::string head = "oracle{";
+    if (key.rfind(head, 0) != 0 || key.back() != '}')
+        return std::nullopt;
+
+    PolicyParams fields;
+    const std::string body =
+        key.substr(head.size(), key.size() - head.size() - 1);
+    for (std::size_t at = 0; at <= body.size();) {
+        std::size_t end = std::min(body.find(';', at), body.size());
+        std::size_t eq = body.find('=', at);
+        if (eq >= end ||
+            !fields.emplace(body.substr(at, eq - at),
+                            body.substr(eq + 1, end - eq - 1))
+                 .second)
+            return std::nullopt;
+        at = end + 1;
+    }
+    auto number = [&](const char *name, auto &out) {
+        auto it = fields.find(name);
+        return it != fields.end() && parseWhole(it->second, out);
+    };
+    OraclePolicyParams p;
+    if (!fields.count("bench") || !fields.count("configs") ||
+        !number("horizon", p.horizon) ||
+        !number("interval", p.interval) ||
+        !number("penalty", p.penaltyCycles) || !number("seed", p.seed) ||
+        !number("warmup", p.warmup))
+        return std::nullopt;
+    p.bench = fields["bench"];
+    p.configs.clear();
+    const std::string &configs = fields["configs"];
+    for (std::size_t at = 0; at <= configs.size();) {
+        std::size_t end = std::min(configs.find('.', at), configs.size());
+        int c = 0;
+        if (!parseWhole(configs.substr(at, end - at), c))
+            return std::nullopt;
+        p.configs.push_back(c);
+        at = end + 1;
+    }
+    // Re-encoding rejects everything the field parse let through:
+    // extra or reordered fields, non-canonical numbers.
+    if (oracleKey(p) != key)
+        return std::nullopt;
+    return p;
 }
 
 OracleSchedule
-computeBestOracleSchedule(const OraclePolicyParams &p)
+computeBestOracleSchedule(const OraclePolicyParams &p,
+                          const KnownCycles &known)
 {
     checkOracleParams(p);
     WorkloadSpec w = oracleWorkload(p);
@@ -232,14 +290,18 @@ computeBestOracleSchedule(const OraclePolicyParams &p)
     const std::uint64_t measure = p.horizon - p.warmup;
     std::uint64_t best_cycles = ~std::uint64_t(0);
     OracleSchedule best;
-    auto consider = [&](std::uint64_t cycles, std::uint64_t slot,
-                        std::vector<int> targets) {
+    // The leader when it is a known reactive candidate whose
+    // trajectory has not been recorded yet.
+    const ReactiveCompetitor *unrecorded = nullptr;
+    auto consider = [&](std::uint64_t cycles, OracleSchedule candidate,
+                        const ReactiveCompetitor *known_competitor) {
         // Strict '<' in consideration order: fixed configurations
         // ascending, then the DP mixture, then the reactive
         // trajectories. Ties go to the earliest (simplest) candidate.
         if (cycles < best_cycles) {
             best_cycles = cycles;
-            best = {slot, std::move(targets)};
+            best = std::move(candidate);
+            unrecorded = known_competitor;
         }
     };
 
@@ -249,10 +311,9 @@ computeBestOracleSchedule(const OraclePolicyParams &p)
     // run point reports.
     std::vector<std::uint64_t> fixed_cycles;
     std::vector<std::vector<TimeSeriesRow>> rows =
-        runFixedProbes(p, &fixed_cycles);
+        runFixedProbes(p, fixed_cycles);
     for (std::size_t k = 0; k < p.configs.size(); k++)
-        consider(fixed_cycles[k], p.interval,
-                 std::vector<int>{p.configs[k]});
+        consider(fixed_cycles[k], {p.interval, {p.configs[k]}}, nullptr);
 
     // The DP's cost is a prediction stitched from per-probe rows
     // (cross-interval state differs in a composed run), so the mixture
@@ -262,48 +323,51 @@ computeBestOracleSchedule(const OraclePolicyParams &p)
     if (!dp.empty()) {
         OracleController replay(p.interval, dp);
         SimResult r = runSimulation(cfg, w, &replay, p.warmup, measure);
-        consider(r.cycles, p.interval, std::move(dp));
+        consider(r.cycles, {p.interval, std::move(dp)}, nullptr);
     }
 
-    // Every reactive policy runs once on the oracle's stream; its
-    // recorded trajectory is a per-commit candidate schedule whose
-    // replay reproduces the run exactly. The winner therefore bounds
-    // the whole reactive field from above by construction.
-    for (const ReactiveProbe &rp : reactiveProbes()) {
-        TrajectoryProbeController probe(
-            makeController(rp.policy, rp.params).make());
-        SimResult r = runSimulation(cfg, w, &probe, p.warmup, measure);
-        consider(r.cycles, 1, probe.targets());
+    // Every reactive competitor is a candidate on the oracle's stream;
+    // its recorded trajectory is a per-commit schedule whose replay
+    // reproduces the run exactly. The winner therefore bounds the
+    // whole reactive field from above by construction.
+    for (const ReactiveCompetitor &c : reactiveCompetitors()) {
+        auto it = known.find(c.label);
+        if (it != known.end()) {
+            consider(it->second, {}, &c);
+            continue;
+        }
+        std::vector<int> targets;
+        std::uint64_t cycles = runReactiveCandidate(p, c, targets);
+        consider(cycles, {1, std::move(targets)}, nullptr);
+    }
+    if (unrecorded) {
+        std::vector<int> targets;
+        std::uint64_t cycles = runReactiveCandidate(p, *unrecorded,
+                                                    targets);
+        CSIM_ASSERT(cycles == best_cycles, "oracle: ",
+                    unrecorded->label, " re-run takes ", cycles,
+                    " cycles, its known run ", best_cycles);
+        best = {1, std::move(targets)};
     }
 
     CSIM_ASSERT(!best.targets.empty());
     return best;
 }
 
+std::unique_ptr<ReconfigController>
+makeOracleController(const OraclePolicyParams &p,
+                     const KnownCycles &known)
+{
+    OracleSchedule s = computeBestOracleSchedule(p, known);
+    return std::make_unique<OracleController>(s.slotLength,
+                                              std::move(s.targets));
+}
+
 ControllerHandle
 makeOracleHandle(const OraclePolicyParams &p)
 {
     CSIM_ASSERT(!p.bench.empty() && p.horizon > 0 && p.interval >= 100);
-    auto cache = std::make_shared<ScheduleCache>();
-    OraclePolicyParams prm = p;
-    return {oracleKey(prm), [cache, prm] {
-                OracleSchedule sched;
-                {
-                    // Probes run under the lock: concurrent workers
-                    // building the same point's controller wait for
-                    // the first one's schedule instead of repeating
-                    // the probe pass.
-                    MutexLock lock(cache->mutex);
-                    if (!cache->computed) {
-                        cache->schedule =
-                            computeBestOracleSchedule(prm);
-                        cache->computed = true;
-                    }
-                    sched = cache->schedule;
-                }
-                return std::make_unique<OracleController>(
-                    sched.slotLength, std::move(sched.targets));
-            }};
+    return {oracleKey(p), [p] { return makeOracleController(p); }};
 }
 
 void

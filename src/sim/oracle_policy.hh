@@ -1,47 +1,61 @@
 /**
  * @file
- * Offline-oracle policy: probe driver and registry wiring.
+ * Offline-oracle policy: candidate runs and registry wiring.
  *
  * The DP solver and the schedule-replaying controller live in
  * reconfig/oracle.hh; this layer supplies what they need from the
- * simulation stack. computeOracleSchedule() runs one probe per
- * candidate configuration -- the full horizon on the oracle point's
- * own derived seed, with a pass-through controller pinning the
- * configuration while a TimeSeriesRecorder captures per-interval cycle
- * costs -- and feeds the rows to solveOracleSchedule().
+ * simulation stack. One probe runs per candidate configuration -- the
+ * full horizon on the oracle point's own derived seed, with a
+ * pass-through controller pinning the configuration while a
+ * TimeSeriesRecorder captures per-interval cycle costs -- and its rows
+ * feed solveOracleSchedule().
  *
  * The shipped oracle is *best-of*, not DP-only: alongside the DP
- * schedule and the fixed-configuration probes, every reactive policy
- * runs once on the oracle's stream with its per-commit target
- * trajectory recorded, and the candidate with the fewest measured
- * cycles over the horizon wins. Replaying a reactive trajectory keyed
- * on the committed-instruction count reproduces that run exactly (the
- * committed stream is configuration-independent here), so the oracle
- * is >= every reactive policy by construction while the DP component
- * lets it beat them all wherever an interval-grained mixture wins.
+ * schedule and the fixed-configuration probes, every reactive
+ * competitor (reactiveCompetitors()) is a candidate whose schedule is
+ * its recorded per-commit target trajectory on the oracle's stream,
+ * and the candidate with the fewest measured cycles wins. Replaying a
+ * reactive trajectory keyed on the committed-instruction count
+ * reproduces that run exactly (the committed stream is
+ * configuration-independent here), so the oracle is >= every reactive
+ * policy by construction while the DP component lets it beat them all
+ * wherever an interval-grained mixture wins.
+ *
+ * A reactive candidate's run is the very run of the tournament point
+ * that races the same policy on the same stream. runSweep()
+ * (sim/sweep.hh) therefore schedules oracle points after their sibling
+ * points and passes the siblings' measured cycles in, so the oracle's
+ * own task simulates only the fixed probes and the DP replay; a known
+ * candidate runs again only if it wins, to record its trajectory. A
+ * handle's factory has no siblings (a served one-point task, a direct
+ * make()) and runs every candidate. The schedule is the same either
+ * way.
  *
  * registerOraclePolicy() publishes the policy as "oracle" in the
- * controller registry (reconfig/registry.hh). The probes are deferred
- * into the returned factory and memoized, so building a preset (or
- * listing presets) stays cheap and the expensive probe pass runs at
- * most once per handle, on the first worker that constructs the
- * controller.
+ * controller registry (reconfig/registry.hh). Building a handle is
+ * cheap (building a preset, or listing presets, runs nothing); every
+ * call of its factory computes the schedule afresh.
  *
- * The canonical key spells out bench, seed, horizon, interval, and
- * penalty. horizon (warmup + measure of the run point) is deliberately
- * part of the identity: the schedule depends on it, and warmup
- * checkpoint identities exclude the measure length, so two points
- * differing only in measure must not share a warmup under one key.
+ * The canonical key spells out bench, configs, seed, horizon, warmup,
+ * interval, and penalty, and oracleParamsFromKey() inverts it exactly.
+ * horizon (warmup + measure of the run point) is deliberately part of
+ * the identity: the schedule depends on it, and warmup checkpoint
+ * identities exclude the measure length, so two points differing only
+ * in measure must not share a warmup under one key.
  */
 
 #ifndef CLUSTERSIM_SIM_ORACLE_POLICY_HH
 #define CLUSTERSIM_SIM_ORACLE_POLICY_HH
 
 #include <cstdint>
+#include <map>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "reconfig/registry.hh"
+#include "sim/sweep.hh"
 
 namespace clustersim {
 
@@ -64,13 +78,40 @@ struct OraclePolicyParams {
     std::vector<int> configs = {2, 4, 8, 16};
 };
 
+/** One reactive policy the oracle must bound, as the tournament races
+ *  it. */
+struct ReactiveCompetitor {
+    std::string label;   ///< tournament run-point label
+    std::string policy;  ///< registry policy name
+    PolicyParams params; ///< registry parameters
+};
+
 /**
- * Run the fixed-configuration probes and solve the DP for the
- * interval-grained oracle schedule (one entry per interval of the
- * horizon). Deterministic in the params. Exposed for the DP-level
- * tests; the shipped policy goes through computeBestOracleSchedule().
+ * The reactive lineup, in the oracle's candidate order. The tournament
+ * preset races exactly these beside the oracle, so every candidate has
+ * a sibling point of equal identity.
  */
-std::vector<int> computeOracleSchedule(const OraclePolicyParams &p);
+const std::vector<ReactiveCompetitor> &reactiveCompetitors();
+
+/**
+ * The run point competitor `c` races as on the oracle's stream: its
+ * label, the 16-cluster machine, the oracle's benchmark with `p.seed`
+ * already applied, and the oracle's warmup and measure window. A sweep
+ * point with pointIdentityKey() equal to this point's (under its label
+ * and `p.seed`) runs exactly this candidate's simulation.
+ */
+RunPoint reactiveCandidatePoint(const OraclePolicyParams &p,
+                                const ReactiveCompetitor &c);
+
+/** Canonical key of the oracle with these params (its handle's key). */
+std::string oracleKey(const OraclePolicyParams &p);
+
+/**
+ * Inverse of oracleKey(): the params whose key is exactly `key`, or
+ * nullopt for another policy's key or a malformed one.
+ */
+std::optional<OraclePolicyParams>
+oracleParamsFromKey(const std::string &key);
 
 /** A resolved oracle schedule: per-slot targets keyed on the committed
  *  instruction count (slotLength = 1 for a per-commit trajectory). */
@@ -79,21 +120,32 @@ struct OracleSchedule {
     std::vector<int> targets;
 };
 
-/**
- * The best-of oracle: race the DP schedule, every fixed configuration,
- * and every reactive policy's recorded trajectory over the horizon on
- * the oracle point's own stream, and return the schedule with the
- * fewest measured cycles. Deterministic in the params; ties resolve to
- * the earliest candidate in a fixed order (fixed configs ascending,
- * then the DP mixture, then the reactive trajectories).
- */
-OracleSchedule computeBestOracleSchedule(const OraclePolicyParams &p);
+/** Measure-window cycles of reactive candidates measured elsewhere on
+ *  the oracle's stream, by competitor label. */
+using KnownCycles = std::map<std::string, std::uint64_t>;
 
 /**
- * Handle for an oracle controller with the given identity. Probes are
- * deferred into the factory and memoized (thread-safe), so building
- * the handle is cheap.
+ * The best-of oracle: race the DP schedule, every fixed configuration,
+ * and every reactive competitor's recorded trajectory over the horizon
+ * on the oracle point's own stream, and return the schedule with the
+ * fewest measured cycles. Ties resolve to the earliest candidate in a
+ * fixed order (fixed configs ascending, then the DP mixture, then the
+ * reactive trajectories). A competitor in `known` is scored on its
+ * given cycles instead of being simulated; if it wins, it is re-run to
+ * record its trajectory, and its cycles must match (asserted).
+ * Deterministic in the params: `known` changes only the work done.
  */
+OracleSchedule computeBestOracleSchedule(const OraclePolicyParams &p,
+                                         const KnownCycles &known = {});
+
+/** The oracle controller replaying computeBestOracleSchedule(p,
+ *  known). */
+std::unique_ptr<ReconfigController>
+makeOracleController(const OraclePolicyParams &p,
+                     const KnownCycles &known = {});
+
+/** Handle for an oracle controller with the given identity. Building
+ *  it is cheap; its factory runs every candidate on each call. */
 ControllerHandle makeOracleHandle(const OraclePolicyParams &p);
 
 /** Idempotently register "oracle" in the controller registry. Params:

@@ -317,36 +317,29 @@ makeSweepPreset(const std::string &name, std::uint64_t warmup,
         // per benchmark. Every point of one benchmark carries the same
         // seedTag, so the planner gives all six policies the *same*
         // instruction stream: the ranked table compares them
-        // head-to-head, and the oracle -- whose probe runs are seeded
-        // with the very same tag-derived seed -- bounds the reactive
-        // field on the stream it is scored on. The probes themselves
-        // are deferred into the handle's factory (building the grid,
-        // e.g. for `sweep --list`, must stay cheap).
+        // head-to-head, and the oracle -- seeded with the very same
+        // tag-derived seed -- bounds the reactive field on the stream
+        // it is scored on. The reactive points are the oracle's own
+        // candidates (reactiveCompetitors()), so runSweep hands it
+        // their measured runs. Its remaining probes run when its
+        // controller is built, not here (building the grid, e.g. for
+        // `sweep --list`, must stay cheap).
         registerOraclePolicy();
         std::uint64_t meas = run(1000000);
         std::vector<RunPoint> points;
         for (const WorkloadSpec &w : allBenchmarks()) {
-            std::vector<SweepVariant> variants = {
-                policyVariant("ivl-explore", clusteredConfig(16),
-                              "ivl-explore"),
-                policyVariant("ivl-ilp-10K", clusteredConfig(16),
-                              "ivl-ilp", {{"interval", "10000"}}),
-                policyVariant("fg-branch", clusteredConfig(16),
-                              "fg-branch"),
-                policyVariant("fg-subroutine", clusteredConfig(16),
-                              "fg-subroutine"),
-                policyVariant("ineffectuality", clusteredConfig(16),
-                              "ineffectuality"),
-                policyVariant(
-                    "oracle", clusteredConfig(16), "oracle",
-                    {{"bench", w.name},
-                     {"seed",
-                      std::to_string(sweepSeed(w.seed, w.name,
-                                               "tournament"))},
-                     {"horizon", std::to_string(warm + meas)},
-                     {"warmup", std::to_string(warm)},
-                     {"interval", "1000"}}),
-            };
+            std::vector<SweepVariant> variants;
+            for (const ReactiveCompetitor &c : reactiveCompetitors())
+                variants.push_back(policyVariant(
+                    c.label, clusteredConfig(16), c.policy, c.params));
+            variants.push_back(policyVariant(
+                "oracle", clusteredConfig(16), "oracle",
+                {{"bench", w.name},
+                 {"seed", std::to_string(
+                              sweepSeed(w.seed, w.name, "tournament"))},
+                 {"horizon", std::to_string(warm + meas)},
+                 {"warmup", std::to_string(warm)},
+                 {"interval", "1000"}}));
             std::size_t first = points.size();
             appendCross(points, w, variants, warm, meas);
             for (std::size_t i = first; i < points.size(); i++)

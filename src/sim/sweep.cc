@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <map>
+#include <optional>
 #include <thread>
 
 #include "check/invariant.hh"
@@ -16,6 +17,7 @@
 #include "common/stats.hh"
 #include "sim/checkpoint.hh"
 #include "sim/energy.hh"
+#include "sim/oracle_policy.hh"
 #include "sim/plan.hh"
 #include "trace/timeseries.hh"
 #include "workload/replay.hh"
@@ -89,6 +91,98 @@ runCheckpointed(WarmupCheckpointStore &store, const std::string &key,
     return restored;
 }
 
+/** An oracle point's work: its params and the sweep points that run
+ *  some of its reactive candidates, by competitor label. */
+struct OracleJob {
+    OraclePolicyParams params;
+    std::vector<std::pair<std::string, std::size_t>> siblings;
+};
+
+/**
+ * The oracle points of a sweep, each with its siblings: the points
+ * whose identity equals one of its reactive candidates. Such a point
+ * runs the very simulation the candidate would, so the oracle reads its
+ * measured cycles instead of repeating it. nullopt for other points.
+ */
+std::vector<std::optional<OracleJob>>
+planOracleJobs(const std::vector<RunPoint> &points,
+               const std::vector<PlannedPoint> &plan)
+{
+    std::vector<std::optional<OracleJob>> jobs(points.size());
+    bool any = false;
+    for (std::size_t i = 0; i < points.size(); i++) {
+        if (!points[i].makeController)
+            continue;
+        if (auto params = oracleParamsFromKey(points[i].controllerKey)) {
+            jobs[i] = OracleJob{std::move(*params), {}};
+            any = true;
+        }
+    }
+    if (!any)
+        return jobs;
+
+    std::map<std::string, std::size_t> by_identity;
+    for (std::size_t i = 0; i < points.size(); i++)
+        if (!jobs[i])
+            by_identity.emplace(
+                pointIdentityKey(points[i], plan[i].label, plan[i].seed),
+                i);
+    for (std::optional<OracleJob> &job : jobs) {
+        if (!job)
+            continue;
+        for (const ReactiveCompetitor &c : reactiveCompetitors()) {
+            RunPoint cand = reactiveCandidatePoint(job->params, c);
+            auto it = by_identity.find(
+                pointIdentityKey(cand, c.label, job->params.seed));
+            if (it != by_identity.end())
+                job->siblings.emplace_back(c.label, it->second);
+        }
+    }
+    return jobs;
+}
+
+/**
+ * Which runs of a sweep have finished. Serializes the onComplete
+ * callback and lets an oracle point wait for the sibling runs it
+ * reads.
+ */
+class Completions
+{
+  public:
+    explicit Completions(std::size_t points) : done_(points, false) {}
+
+    /** Mark run `i` finished, calling `report` under the lock first. */
+    template <typename Report>
+    void
+    finish(std::size_t i, const Report &report) CSIM_EXCLUDES(mutex_)
+    {
+        {
+            MutexLock lock(mutex_);
+            report();
+            done_[i] = true;
+        }
+        finishedCv_.notify_all();
+    }
+
+    /** Block until every sibling run of `job` has finished. */
+    void
+    awaitSiblings(const OracleJob &job) CSIM_EXCLUDES(mutex_)
+    {
+        UniqueLock lock(mutex_);
+        finishedCv_.wait(lock, [&]() CSIM_REQUIRES(mutex_) {
+            for (const auto &sibling : job.siblings)
+                if (!done_[sibling.second])
+                    return false;
+            return true;
+        });
+    }
+
+  private:
+    Mutex mutex_;
+    ConditionVariable finishedCv_;
+    std::vector<bool> done_ CSIM_GUARDED_BY(mutex_);
+};
+
 } // namespace
 
 double
@@ -151,30 +245,54 @@ runSweep(const std::vector<RunPoint> &points, const SweepOptions &opts)
 
     // simlint-ignore(D002): timing-only bookkeeping, never a sim input
     Clock::time_point sweep_start = Clock::now();
-    std::atomic<std::size_t> next{0};
-    Mutex complete_mutex;
 
     // Canonical per-point identities, shared with the serve-layer
     // cache (sim/plan.hh).
     std::vector<PlannedPoint> plan = planPoints(points,
                                                 opts.deriveSeeds);
+    std::vector<std::optional<OracleJob>> oracles =
+        planOracleJobs(points, plan);
+
+    // Oracle points run last: every other point is claimed before any
+    // oracle, and no point waits on an oracle, so an oracle's wait for
+    // its siblings always ends.
+    std::vector<std::size_t> order;
+    order.reserve(points.size());
+    for (bool oracle_pass : {false, true})
+        for (std::size_t i = 0; i < points.size(); i++)
+            if (oracles[i].has_value() == oracle_pass)
+                order.push_back(i);
+    std::atomic<std::size_t> next{0};
+    Completions completions(points.size());
 
     auto worker = [&]() {
         for (;;) {
-            std::size_t i = next.fetch_add(1);
-            if (i >= points.size())
+            std::size_t k = next.fetch_add(1);
+            if (k >= order.size())
                 return;
+            const std::size_t i = order[k];
             const RunPoint &p = points[i];
 
             WorkloadSpec w = p.workload;
             const std::string &label = plan[i].label;
             w.seed = plan[i].seed;
 
+            // An oracle point builds its controller from its key, with
+            // its siblings' measured cycles; the time it waits for them
+            // is not its own.
+            KnownCycles known;
+            if (oracles[i]) {
+                completions.awaitSiblings(*oracles[i]);
+                for (const auto &[competitor, j] : oracles[i]->siblings)
+                    known[competitor] = out.runs[j].result.cycles;
+            }
             // simlint-ignore(D002): timing-only bookkeeping, never a
             // sim input
             Clock::time_point run_start = Clock::now();
             std::unique_ptr<ReconfigController> ctrl;
-            if (p.makeController)
+            if (oracles[i])
+                ctrl = makeOracleController(oracles[i]->params, known);
+            else if (p.makeController)
                 ctrl = p.makeController();
 
             // Points with a declared warmup identity route through the
@@ -203,10 +321,10 @@ runSweep(const std::vector<RunPoint> &points, const SweepOptions &opts)
             slot.seed = w.seed;
             slot.wallSeconds = secondsSince(run_start);
 
-            if (opts.onComplete) {
-                MutexLock lock(complete_mutex);
-                opts.onComplete(i, slot.result);
-            }
+            completions.finish(i, [&] {
+                if (opts.onComplete)
+                    opts.onComplete(i, slot.result);
+            });
         }
     };
 

@@ -7,8 +7,9 @@
  * independent RunPoints on a fixed-size worker pool and collects the
  * SimResults in submission order. Results are bit-identical regardless
  * of thread count or scheduling order: each run gets its own workload
- * copy, a fresh controller from its factory, and (optionally) an RNG
- * seed derived deterministically from the (benchmark, config) pair.
+ * copy, a fresh controller (from its factory, or for an oracle point
+ * from its key), and (optionally) an RNG seed derived deterministically
+ * from the (benchmark, config) pair.
  *
  * The sweep-level JSON report (sweepReportJson) captures run metadata,
  * per-run metrics, and wall-clock + aggregate statistics, giving every
@@ -94,8 +95,9 @@ struct SweepOptions {
 struct SweepRun {
     SimResult result;
     std::uint64_t seed = 0;      ///< workload seed actually used
-    /** This run alone, controller factory included (the oracle's
-     *  probe runs happen there). */
+    /** This run alone, building its controller included: an oracle
+     *  point's own probe runs count here, the time it waits for its
+     *  sibling points (see runSweep) does not. */
     double wallSeconds = 0.0;
     /** Warmup was restored from the checkpoint store, not simulated. */
     bool warmStart = false;
@@ -127,6 +129,13 @@ std::uint64_t sweepSeed(std::uint64_t base, const std::string &benchmark,
  * restores its warmup from opts.checkpoints (or warms up and stores
  * it); any other point is fed inline by the synthetic generator. Both
  * paths see the same instruction stream, so reports match either way.
+ *
+ * A point whose controllerKey is an oracle key (sim/oracle_policy.hh)
+ * runs after every other point. Its controller is built from the key,
+ * not the factory, and reads the measured cycles of every point whose
+ * pointIdentityKey() equals one of its reactive candidates, waiting
+ * for any still in flight; it simulates only the candidates no point
+ * ran. The schedule, and so the report, is the same as the factory's.
  */
 SweepResult runSweep(const std::vector<RunPoint> &points,
                      const SweepOptions &opts = {});

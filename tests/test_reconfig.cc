@@ -1229,6 +1229,31 @@ TEST(Registry, EveryBuiltinPolicyBuildsAWorkingController)
     EXPECT_FALSE(isControllerPolicy("no-such-policy"));
 }
 
+TEST(Registry, KeysKeepEveryDigitOfRealParameters)
+{
+    // Values that agree to six significant digits are still different
+    // controllers, so they must not share a key (and with it cache and
+    // checkpoint entries).
+    std::string a =
+        makeController("ineffectuality", {{"gate", "0.1234567"}}).key;
+    std::string b =
+        makeController("ineffectuality", {{"gate", "0.1234568"}}).key;
+    EXPECT_NE(a, b);
+    EXPECT_NE(a.find("gate=0.1234567;"), std::string::npos) << a;
+    EXPECT_NE(b.find("gate=0.1234568;"), std::string::npos) << b;
+    EXPECT_NE(makeController("ivl-ilp", {{"distant-per-mille", "300.0001"}})
+                  .key,
+              makeController("ivl-ilp").key);
+
+    // The shortest round-trip spelling keeps today's short forms.
+    EXPECT_EQ(canonicalNumber(0.3), "0.3");
+    EXPECT_EQ(canonicalNumber(80.0), "80");
+    EXPECT_EQ(canonicalNumber(10000.0), "10000");
+    EXPECT_EQ(canonicalNumber(1e6), "1e+06");
+    for (double v : {0.1 + 0.2, 1.0 / 3.0, 123.456, 1e-7})
+        EXPECT_EQ(std::stod(canonicalNumber(v)), v) << v;
+}
+
 TEST(Registry, HandleFactoryIsReusable)
 {
     ControllerHandle h = makeController("ivl-explore");

@@ -9,18 +9,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
 
 #include "common/json.hh"
+#include "common/logging.hh"
 #include "reconfig/interval_explore.hh"
 #include "sim/checkpoint.hh"
+#include "sim/oracle_policy.hh"
 #include "sim/plan.hh"
 #include "sim/presets.hh"
 #include "sim/sweep.hh"
@@ -565,9 +569,14 @@ TEST(Tournament, OracleBoundsEveryReactivePolicyPerBenchmark)
     ASSERT_EQ(res.runs.size(), points.size());
 
     std::map<std::string, double> oracle;
-    for (std::size_t i = 0; i < points.size(); i++)
-        if (points[i].label == "oracle")
+    std::map<std::string, std::uint64_t> oracle_cycles;
+    for (std::size_t i = 0; i < points.size(); i++) {
+        if (points[i].label == "oracle") {
             oracle[points[i].workload.name] = res.runs[i].result.ipc;
+            oracle_cycles[points[i].workload.name] =
+                res.runs[i].result.cycles;
+        }
+    }
     ASSERT_FALSE(oracle.empty());
     for (std::size_t i = 0; i < points.size(); i++) {
         if (points[i].label == "oracle")
@@ -576,5 +585,256 @@ TEST(Tournament, OracleBoundsEveryReactivePolicyPerBenchmark)
         ASSERT_TRUE(oracle.count(bench)) << bench;
         EXPECT_GE(oracle[bench] + 1e-9, res.runs[i].result.ipc)
             << bench << " / " << points[i].label;
+        // The exact bound is on measure-window cycles: a window ends on
+        // the first cycle past its target, so IPC can trail by a hair.
+        EXPECT_LE(oracle_cycles[bench], res.runs[i].result.cycles)
+            << bench << " / " << points[i].label;
     }
+}
+
+namespace {
+
+/** Per-point payloads of a finished sweep, in submission order. */
+std::vector<std::string>
+payloads(const std::vector<RunPoint> &points, const SweepResult &res)
+{
+    std::vector<std::string> out;
+    for (std::size_t i = 0; i < points.size(); i++)
+        out.push_back(pointPayloadJson(res.runs[i].result,
+                                       res.runs[i].seed, points[i].warmup,
+                                       points[i].measure));
+    return out;
+}
+
+SweepResult
+runOn(const std::vector<RunPoint> &points, int threads)
+{
+    SweepOptions opts;
+    opts.threads = threads;
+    return runSweep(points, opts);
+}
+
+} // namespace
+
+TEST(Tournament, OracleCandidatesAreItsSiblingPoints)
+{
+    // The oracle reuses a sibling's run only when their identities are
+    // equal, so a drift between the preset and the candidate lineup
+    // would silently bring the re-simulation back.
+    std::vector<RunPoint> points =
+        makeSweepPreset("tournament", 1000, 2000);
+    std::vector<PlannedPoint> plan = planPoints(points, true);
+    std::map<std::pair<std::string, std::string>, std::string> identity;
+    for (std::size_t i = 0; i < points.size(); i++)
+        identity[{points[i].workload.name, plan[i].label}] =
+            pointIdentityKey(points[i], plan[i].label, plan[i].seed);
+
+    std::size_t oracles = 0;
+    for (std::size_t i = 0; i < points.size(); i++) {
+        std::optional<OraclePolicyParams> op =
+            oracleParamsFromKey(points[i].controllerKey);
+        if (!op)
+            continue;
+        oracles++;
+        EXPECT_EQ(op->seed, plan[i].seed) << op->bench;
+        for (const ReactiveCompetitor &c : reactiveCompetitors()) {
+            RunPoint cand = reactiveCandidatePoint(*op, c);
+            const std::string &sibling = identity[{op->bench, c.label}];
+            EXPECT_EQ(pointIdentityKey(cand, c.label, op->seed), sibling)
+                << op->bench << " / " << c.label;
+        }
+    }
+    EXPECT_EQ(oracles, allBenchmarks().size());
+}
+
+TEST(Tournament, OracleAloneMatchesOracleAmongItsSiblings)
+{
+    // Among its siblings an oracle point reads their measured runs;
+    // alone (a served one-point task) it runs every candidate itself.
+    // The payload must not tell the two apart.
+    std::vector<RunPoint> points =
+        makeSweepPreset("tournament", 1000, 2000);
+    std::vector<std::string> one = payloads(points, runOn(points, 1));
+    std::vector<std::string> four = payloads(points, runOn(points, 4));
+    std::size_t oracles = 0;
+    for (std::size_t i = 0; i < points.size(); i++) {
+        if (!oracleParamsFromKey(points[i].controllerKey))
+            continue;
+        oracles++;
+        std::vector<RunPoint> alone = {points[i]};
+        std::string payload = payloads(alone, runOn(alone, 1))[0];
+        EXPECT_EQ(payload, one[i]) << points[i].workload.name;
+        EXPECT_EQ(payload, four[i]) << points[i].workload.name;
+    }
+    EXPECT_EQ(oracles, allBenchmarks().size());
+}
+
+TEST(Tournament, ReversedPointsGiveTheSamePayloads)
+{
+    // Reversed, every oracle precedes its siblings: the engine has to
+    // hold it back (and on four workers wait for siblings in flight)
+    // rather than rely on submission order.
+    std::vector<RunPoint> points =
+        makeSweepPreset("tournament", 1000, 2000);
+    std::vector<RunPoint> reversed(points.rbegin(), points.rend());
+    for (int threads : {1, 4}) {
+        std::vector<std::string> forward =
+            payloads(points, runOn(points, threads));
+        std::vector<std::string> backward =
+            payloads(reversed, runOn(reversed, threads));
+        std::reverse(backward.begin(), backward.end());
+        EXPECT_EQ(forward, backward) << threads << " threads";
+    }
+}
+
+TEST(Tournament, OracleWaitsForSiblingsInFlight)
+{
+    // One benchmark on six workers: every point is claimed at once, so
+    // the oracle has to wait for all five siblings while they run.
+    std::vector<RunPoint> points =
+        makeSweepPreset("tournament", 1000, 2000);
+    points.resize(reactiveCompetitors().size() + 1);
+    ASSERT_TRUE(oracleParamsFromKey(points.back().controllerKey));
+    EXPECT_EQ(payloads(points, runOn(points, 6)),
+              payloads(points, runOn(points, 1)));
+}
+
+// ---------------------------------------------------------------------------
+// Oracle policy: known candidates and the key inverse
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/** The tournament preset's oracle of `bench` at the given scale. */
+OraclePolicyParams
+tournamentOracle(const std::string &bench, std::uint64_t warmup,
+                 std::uint64_t measure)
+{
+    for (const RunPoint &p : makeSweepPreset("tournament", warmup, measure))
+        if (p.workload.name == bench)
+            if (auto op = oracleParamsFromKey(p.controllerKey))
+                return *op;
+    ADD_FAILURE() << "no tournament oracle for " << bench;
+    return {};
+}
+
+/** Measured cycles of every reactive candidate of `p`, each run as
+ *  its own sweep point. */
+KnownCycles
+reactiveCycles(const OraclePolicyParams &p)
+{
+    std::vector<RunPoint> cands;
+    for (const ReactiveCompetitor &c : reactiveCompetitors())
+        cands.push_back(reactiveCandidatePoint(p, c));
+    SweepOptions opts;
+    opts.threads = 1;
+    opts.deriveSeeds = false; // the candidate carries the oracle's seed
+    SweepResult res = runSweep(cands, opts);
+    KnownCycles known;
+    for (std::size_t i = 0; i < cands.size(); i++)
+        known[cands[i].label] = res.runs[i].result.cycles;
+    return known;
+}
+
+} // namespace
+
+TEST(OraclePolicy, KnownReactiveCyclesGiveTheSameSchedule)
+{
+    // On this stream a reactive trajectory beats every fixed
+    // configuration and the DP mixture, so with known cycles the
+    // winner has to be re-run to record its trajectory.
+    OraclePolicyParams p = tournamentOracle("djpeg", 2000, 8000);
+    OracleSchedule alone = computeBestOracleSchedule(p);
+    ASSERT_EQ(alone.slotLength, 1u);
+    OracleSchedule reused = computeBestOracleSchedule(p, reactiveCycles(p));
+    EXPECT_EQ(reused.slotLength, alone.slotLength);
+    EXPECT_EQ(reused.targets, alone.targets);
+}
+
+TEST(OraclePolicy, KnownCyclesThatDisagreeWithTheRerunThrow)
+{
+    OraclePolicyParams p = tournamentOracle("djpeg", 2000, 8000);
+    KnownCycles known = reactiveCycles(p);
+    auto winner = std::min_element(
+        known.begin(), known.end(),
+        [](const auto &a, const auto &b) { return a.second < b.second; });
+    winner->second -= 1;
+    ScopedPanicRethrow rethrow;
+    EXPECT_THROW(computeBestOracleSchedule(p, known), SimError);
+}
+
+TEST(OraclePolicy, ParamsFromKeyInvertsTheKey)
+{
+    OraclePolicyParams p;
+    p.bench = "gzip";
+    p.seed = 12345678901234567ULL;
+    p.horizon = 60000;
+    p.warmup = 10000;
+    p.interval = 1000;
+    p.penaltyCycles = 123.4567891;
+    std::optional<OraclePolicyParams> back =
+        oracleParamsFromKey(oracleKey(p));
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(back->bench, p.bench);
+    EXPECT_EQ(back->seed, p.seed);
+    EXPECT_EQ(back->horizon, p.horizon);
+    EXPECT_EQ(back->warmup, p.warmup);
+    EXPECT_EQ(back->interval, p.interval);
+    EXPECT_EQ(back->penaltyCycles, p.penaltyCycles);
+    EXPECT_EQ(back->configs, p.configs);
+
+    // A registry handle's key reads back to the params it was built
+    // from, defaults included.
+    registerOraclePolicy();
+    ControllerHandle h = makeController("oracle", {{"bench", "swim"},
+                                                   {"seed", "7"},
+                                                   {"horizon", "5000"},
+                                                   {"warmup", "1000"},
+                                                   {"penalty", "0.1234567"}});
+    std::optional<OraclePolicyParams> q = oracleParamsFromKey(h.key);
+    ASSERT_TRUE(q.has_value()) << h.key;
+    EXPECT_EQ(q->bench, "swim");
+    EXPECT_EQ(q->seed, 7u);
+    EXPECT_EQ(q->horizon, 5000u);
+    EXPECT_EQ(q->warmup, 1000u);
+    EXPECT_EQ(q->interval, OraclePolicyParams{}.interval);
+    EXPECT_EQ(q->penaltyCycles, 0.1234567);
+    EXPECT_EQ(oracleKey(*q), h.key);
+}
+
+TEST(OraclePolicy, ParamsFromKeyRejectsOtherAndMalformedKeys)
+{
+    EXPECT_FALSE(oracleParamsFromKey(""));
+    EXPECT_FALSE(oracleParamsFromKey(makeController("ivl-explore").key));
+    EXPECT_FALSE(oracleParamsFromKey("static{active=4}"));
+
+    OraclePolicyParams p;
+    p.bench = "gzip";
+    p.seed = 9;
+    p.horizon = 3000;
+    p.warmup = 1000;
+    const std::string good = oracleKey(p);
+    ASSERT_EQ(good, "oracle{bench=gzip;configs=2.4.8.16;horizon=3000;"
+                    "interval=10000;penalty=200;seed=9;warmup=1000}");
+    ASSERT_TRUE(oracleParamsFromKey(good).has_value());
+    auto edit = [&](const std::string &from, const std::string &to) {
+        std::string k = good;
+        k.replace(k.find(from), from.size(), to);
+        return k;
+    };
+    for (const std::string &bad : {
+             std::string("oracle{"), std::string("oracle{}"),
+             good.substr(0, good.size() - 1), good + "}",
+             edit("penalty=200", "penalty=200.0"),
+             edit("horizon=3000", "horizon=03000"),
+             edit("horizon=3000", "horizon=+3000"),
+             edit("seed=9", "seed=x"), edit("seed=9;", ""),
+             edit("seed=9", "seed=9;seed=9"),
+             edit(";warmup=1000", ";warmup=1000;extra=1"),
+             edit("configs=2.4.8.16", "configs=2..8.16"),
+             edit("configs=2.4.8.16", "configs=2.4.8.16."),
+             edit("bench=gzip;configs=2.4.8.16",
+                  "configs=2.4.8.16;bench=gzip"),
+         })
+        EXPECT_FALSE(oracleParamsFromKey(bad)) << bad;
 }
