@@ -1,13 +1,12 @@
 #include "common/content_store.hh"
 
-#include <array>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 
 #include <dirent.h>
+#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -29,6 +28,46 @@ isHexKey(const std::string &s)
             return false;
     }
     return true;
+}
+
+/** Owns an open file descriptor. */
+class FileDescriptor
+{
+  public:
+    explicit FileDescriptor(int fd) : fd_(fd) {}
+    ~FileDescriptor()
+    {
+        if (fd_ >= 0)
+            ::close(fd_);
+    }
+    FileDescriptor(const FileDescriptor &) = delete;
+    FileDescriptor &operator=(const FileDescriptor &) = delete;
+
+    int get() const { return fd_; }
+
+  private:
+    int fd_;
+};
+
+/** The regular file open on fd, read whole into one buffer of its size;
+ *  nullopt for anything else or a short read. */
+std::optional<std::string>
+readRegularFile(int fd)
+{
+    struct stat st = {};
+    if (fstat(fd, &st) != 0 || !S_ISREG(st.st_mode))
+        return std::nullopt;
+    std::string buf(static_cast<std::size_t>(st.st_size), '\0');
+    std::size_t got = 0;
+    while (got < buf.size()) {
+        ssize_t n = ::read(fd, buf.data() + got, buf.size() - got);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            return std::nullopt;
+        got += static_cast<std::size_t>(n);
+    }
+    return buf;
 }
 
 } // namespace
@@ -60,15 +99,7 @@ ContentStore::address(const std::string &identity) const
     h.update(magic_, std::strlen(magic_));
     h.update(salt_);
     h.update(identity);
-    std::array<std::uint8_t, 32> d = h.digest();
-    static const char hex[] = "0123456789abcdef";
-    std::string out;
-    out.reserve(64);
-    for (std::uint8_t b : d) {
-        out.push_back(hex[b >> 4]);
-        out.push_back(hex[b & 0xf]);
-    }
-    return out;
+    return h.hexDigest();
 }
 
 std::string
@@ -91,37 +122,39 @@ ContentStore::read(const std::string &key, bool &corrupt) const
 {
     if (!enabled() || key.empty())
         return std::nullopt;
-    std::ifstream f(pathFor(key), std::ios::binary);
-    if (!f)
+    FileDescriptor fd(::open(pathFor(key).c_str(), O_RDONLY | O_CLOEXEC));
+    if (fd.get() < 0)
         return std::nullopt;
-    std::ostringstream buf;
-    buf << f.rdbuf();
-    std::string file = buf.str();
+    // An entry that exists is corrupt until every check below passes.
+    corrupt = true;
+    std::optional<std::string> file = readRegularFile(fd.get());
+    if (!file)
+        return std::nullopt;
 
     // Header line: "<magic> <key> <payload-bytes> <payload-sha256>\n",
-    // then the payload and a trailing newline. Every field is verified;
-    // the file is corrupt until all of them pass.
-    corrupt = true;
-    std::size_t nl = file.find('\n');
-    if (nl == std::string::npos)
+    // then the payload and a trailing newline, exactly as store() writes
+    // them. The declared length is untrusted: it is compared, as text,
+    // with the bytes that are left, never parsed or added to.
+    std::size_t nl = file->find('\n');
+    if (nl == std::string::npos || file->size() - nl < 2 ||
+        file->back() != '\n')
         return std::nullopt;
-    std::istringstream header(file.substr(0, nl));
-    std::string magic, hkey, sha;
-    std::uint64_t bytes = 0;
-    header >> magic >> hkey >> bytes >> sha;
-    if (!header || magic != magic_ || hkey != key)
-        return std::nullopt;
-    // The declared length is untrusted: compare it with what is left
-    // rather than adding to it, which could wrap.
     std::size_t payload_at = nl + 1;
-    if (file.size() - payload_at < 1 ||
-        bytes != file.size() - payload_at - 1 || file.back() != '\n')
+    std::size_t bytes = file->size() - payload_at - 1;
+    std::string fields = std::string(magic_) + ' ' + key + ' ' +
+                         std::to_string(bytes) + ' ';
+    if (nl != fields.size() + 64 ||
+        file->compare(0, fields.size(), fields) != 0)
         return std::nullopt;
-    std::string payload = file.substr(payload_at, bytes);
-    if (sha256Hex(payload) != sha)
+    Sha256 h;
+    h.update(file->data() + payload_at, bytes);
+    if (file->compare(fields.size(), 64, h.hexDigest()) != 0)
         return std::nullopt;
     corrupt = false;
-    return payload;
+    // The payload, in place in the buffer it was read into.
+    file->pop_back();
+    file->erase(0, payload_at);
+    return file;
 }
 
 void

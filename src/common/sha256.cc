@@ -1,6 +1,12 @@
 #include "common/sha256.hh"
 
+#include <algorithm>
 #include <cstring>
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace clustersim {
 
@@ -28,7 +34,110 @@ rotr(std::uint32_t v, int n)
     return (v >> n) | (v << (32 - n));
 }
 
+#if defined(__x86_64__)
+
+/** SHA extensions plus the SSSE3/SSE4.1 shuffles compressShaNi uses. */
+bool
+cpuHasShaNi()
+{
+    unsigned a = 0, b = 0, c = 0, d = 0;
+    if (!__get_cpuid(1, &a, &b, &c, &d))
+        return false;
+    const bool ssse3 = (c >> 9) & 1;
+    const bool sse41 = (c >> 19) & 1;
+    if (!__get_cpuid_count(7, 0, &a, &b, &c, &d))
+        return false;
+    const bool sha = (b >> 29) & 1;
+    return ssse3 && sse41 && sha;
+}
+
+bool
+useShaNi()
+{
+    static const bool use = cpuHasShaNi();
+    return use;
+}
+
+/**
+ * FIPS 180-4 compression of `blocks` whole 64-byte blocks with the x86
+ * SHA extensions. sha256rnds2 runs two rounds on the state split as
+ * ABEF/CDGH; sha256msg1/msg2 extend the message schedule four words at
+ * a time. Only this function is compiled for the extra ISA, and it is
+ * reached only when cpuHasShaNi() says the CPU runs it.
+ */
+__attribute__((target("sha,sse4.1,ssse3"))) void
+compressShaNi(std::uint32_t *state, const std::uint8_t *data,
+              std::size_t blocks)
+{
+    // Per-word byte swap: the message words are big-endian.
+    const __m128i bswap =
+        _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+    const auto *k = reinterpret_cast<const __m128i *>(kRound);
+
+    // Lanes low to high: a b c d | e f g h -> f e b a | h g d c.
+    __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i *>(state));
+    __m128i hgfe =
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(state + 4));
+    __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+    __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+    __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+    __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+    for (; blocks > 0; blocks--, data += 64) {
+        const __m128i abefIn = abef, cdghIn = cdgh;
+        // w0..w3: the last sixteen schedule words, oldest first.
+        __m128i w0 = _mm_setzero_si128(), w1 = w0, w2 = w0, w3 = w0;
+        for (int q = 0; q < 16; q++) {
+            __m128i w;
+            if (q < 4) {
+                w = _mm_shuffle_epi8(
+                    _mm_loadu_si128(
+                        reinterpret_cast<const __m128i *>(data + 16 * q)),
+                    bswap);
+            } else {
+                // W[t] = s1(W[t-2]) + W[t-7] + s0(W[t-15]) + W[t-16]
+                w = _mm_sha256msg1_epu32(w0, w1);
+                w = _mm_add_epi32(w, _mm_alignr_epi8(w3, w2, 4));
+                w = _mm_sha256msg2_epu32(w, w3);
+            }
+            w0 = w1;
+            w1 = w2;
+            w2 = w3;
+            w3 = w;
+            // Two rounds per sha256rnds2, taking W+K from the low two
+            // lanes; after each pair the old ABEF is the new CDGH.
+            __m128i wk = _mm_add_epi32(w, _mm_loadu_si128(k + q));
+            __m128i abef2 = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+            __m128i abef4 = _mm_sha256rnds2_epu32(
+                abef, abef2, _mm_shuffle_epi32(wk, 0x0E));
+            cdgh = abef2;
+            abef = abef4;
+        }
+        abef = _mm_add_epi32(abef, abefIn);
+        cdgh = _mm_add_epi32(cdgh, cdghIn);
+    }
+
+    __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+    __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+    dcba = _mm_blend_epi16(feba, dchg, 0xF0);
+    hgfe = _mm_alignr_epi8(dchg, feba, 8);
+    _mm_storeu_si128(reinterpret_cast<__m128i *>(state), dcba);
+    _mm_storeu_si128(reinterpret_cast<__m128i *>(state + 4), hgfe);
+}
+
+#endif // __x86_64__
+
 } // namespace
+
+const char *
+Sha256::blockPath()
+{
+#if defined(__x86_64__)
+    if (useShaNi())
+        return "sha-ni";
+#endif
+    return "portable";
+}
 
 void
 Sha256::reset()
@@ -87,6 +196,19 @@ Sha256::compress(const std::uint8_t *block)
 }
 
 void
+Sha256::compressBlocks(const std::uint8_t *data, std::size_t blocks)
+{
+#if defined(__x86_64__)
+    if (useShaNi()) {
+        compressShaNi(state_.data(), data, blocks);
+        return;
+    }
+#endif
+    for (; blocks > 0; blocks--, data += 64)
+        compress(data);
+}
+
+void
 Sha256::update(const void *data, std::size_t len)
 {
     const auto *p = static_cast<const std::uint8_t *>(data);
@@ -98,14 +220,15 @@ Sha256::update(const void *data, std::size_t len)
         p += take;
         len -= take;
         if (bufLen_ == buf_.size()) {
-            compress(buf_.data());
+            compressBlocks(buf_.data(), 1);
             bufLen_ = 0;
         }
     }
-    while (len >= 64) {
-        compress(p);
-        p += 64;
-        len -= 64;
+    if (len >= 64) {
+        std::size_t blocks = len / 64;
+        compressBlocks(p, blocks);
+        p += 64 * blocks;
+        len -= 64 * blocks;
     }
     if (len > 0) {
         std::memcpy(buf_.data(), p, len);
@@ -138,19 +261,24 @@ Sha256::digest()
 }
 
 std::string
-sha256Hex(const std::string &data)
+Sha256::hexDigest()
 {
-    Sha256 h;
-    h.update(data);
-    std::array<std::uint8_t, 32> d = h.digest();
     static const char hex[] = "0123456789abcdef";
     std::string out;
     out.reserve(64);
-    for (std::uint8_t b : d) {
+    for (std::uint8_t b : digest()) {
         out.push_back(hex[b >> 4]);
         out.push_back(hex[b & 0xf]);
     }
     return out;
+}
+
+std::string
+sha256Hex(const std::string &data)
+{
+    Sha256 h;
+    h.update(data);
+    return h.hexDigest();
 }
 
 } // namespace clustersim

@@ -2,17 +2,27 @@
  * @file
  * Dependency-free SHA-256.
  *
- * Used for content-addressing: cache keys of finished sweep points and
- * fingerprints of canonicalized job requests. A cryptographic digest is
+ * Used for content-addressing and verification: cache keys of finished
+ * sweep points, fingerprints of canonicalized job requests, and the
+ * payload digest every content-store load re-computes before it trusts
+ * an entry (common/content_store.hh). A cryptographic digest is
  * deliberate overkill for a local result cache -- what matters is that
  * two distinct (config, workload, seed) identities can never collide in
  * practice, so a cache hit is always byte-correct.
+ *
+ * Two block functions compute the same digest. On x86-64 CPUs with the
+ * SHA extensions (CPUID leaf 7 EBX bit 29, plus SSSE3 and SSE4.1),
+ * update() hashes runs of whole blocks with the sha256rnds2/msg1/msg2
+ * instructions; the choice is made once per process from CPUID. Every
+ * other host runs the portable compress(), which is also the reference
+ * the tests hold the accelerated path to.
  */
 
 #ifndef CLUSTERSIM_COMMON_SHA256_HH
 #define CLUSTERSIM_COMMON_SHA256_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -31,7 +41,22 @@ class Sha256
     /** Finalize and return the 32-byte digest; the object is spent. */
     std::array<std::uint8_t, 32> digest();
 
+    /** Finalize and return the digest as 64 lowercase hex characters;
+     *  the object is spent. */
+    std::string hexDigest();
+
+    /** Block function update() uses in this process: "sha-ni" or
+     *  "portable". */
+    static const char *blockPath();
+
   private:
+    /** Tests drive the portable compress() directly as the reference. */
+    friend struct Sha256Reference;
+
+    /** Fold whole 64-byte blocks into the state on this process's
+     *  block path. */
+    void compressBlocks(const std::uint8_t *data, std::size_t blocks);
+    /** The portable block function. */
     void compress(const std::uint8_t *block);
 
     std::array<std::uint32_t, 8> state_;

@@ -1,17 +1,26 @@
 /**
  * @file
  * Unit tests for the common utilities: RNG, saturating counters,
- * statistics, slot reservation, and table formatting.
+ * statistics, slot reservation, table formatting, and SHA-256 (the
+ * dispatched block path held to the portable reference).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "common/resource.hh"
 #include "common/sat_counter.hh"
+#include "common/sha256.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
 
@@ -354,4 +363,178 @@ TEST(Table, FormatsAlignedColumns)
 TEST(Logging, FatalThrowsSimError)
 {
     EXPECT_THROW(fatal("boom ", 42), SimError);
+}
+
+// ---------------------------------------------------------------------------
+// Sha256: the dispatched path against the portable reference
+// ---------------------------------------------------------------------------
+
+namespace clustersim {
+
+/** Digests through the portable compress() alone, with the FIPS 180-4
+ *  padding done here: the reference every other path must match. */
+struct Sha256Reference {
+    static std::array<std::uint8_t, 32>
+    digest(const std::string &msg)
+    {
+        std::string padded = msg + '\x80';
+        while (padded.size() % 64 != 56)
+            padded.push_back('\0');
+        const std::uint64_t bits = std::uint64_t{msg.size()} * 8;
+        for (int i = 7; i >= 0; i--)
+            padded.push_back(static_cast<char>(bits >> (8 * i)));
+        Sha256 h;
+        const auto *p = reinterpret_cast<const std::uint8_t *>(padded.data());
+        for (std::size_t off = 0; off < padded.size(); off += 64)
+            h.compress(p + off);
+        std::array<std::uint8_t, 32> out{};
+        for (int i = 0; i < 32; i++)
+            out[i] = static_cast<std::uint8_t>(h.state_[i / 4] >>
+                                               (24 - 8 * (i % 4)));
+        return out;
+    }
+};
+
+} // namespace clustersim
+
+namespace {
+
+std::string
+toHex(const std::array<std::uint8_t, 32> &d)
+{
+    static const char hex[] = "0123456789abcdef";
+    std::string out;
+    for (std::uint8_t b : d) {
+        out.push_back(hex[b >> 4]);
+        out.push_back(hex[b & 0xf]);
+    }
+    return out;
+}
+
+std::string
+randomBytes(std::size_t n, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::string out(n, '\0');
+    for (char &c : out)
+        c = static_cast<char>(rng.next32());
+    return out;
+}
+
+/** Digest of msg fed to update() in seeded random pieces of 1..maxPiece
+ *  bytes, so pieces start and end at every offset within a block. */
+std::array<std::uint8_t, 32>
+splitDigest(const std::string &msg, Rng &rng, std::uint32_t maxPiece)
+{
+    Sha256 h;
+    std::size_t off = 0;
+    while (off < msg.size()) {
+        std::size_t n = std::min<std::size_t>(msg.size() - off,
+                                              rng.range(maxPiece) + 1);
+        h.update(msg.data() + off, n);
+        off += n;
+    }
+    return h.digest();
+}
+
+std::array<std::uint8_t, 32>
+oneShotDigest(const std::string &msg)
+{
+    Sha256 h;
+    h.update(msg);
+    return h.digest();
+}
+
+} // namespace
+
+TEST(Sha256, ReportsTheDispatchedBlockPath)
+{
+    const std::string path = Sha256::blockPath();
+    std::printf("sha256 block path: %s\n", path.c_str());
+    RecordProperty("block_path", path);
+#if defined(__x86_64__)
+    EXPECT_TRUE(path == "sha-ni" || path == "portable") << path;
+#else
+    EXPECT_EQ(path, "portable");
+#endif
+}
+
+TEST(Sha256, Fips180Vectors)
+{
+    const std::pair<std::string, const char *> vectors[] = {
+        {"", "e3b0c44298fc1c149afbf4c8996fb924"
+             "27ae41e4649b934ca495991b7852b855"},
+        {"abc", "ba7816bf8f01cfea414140de5dae2223"
+                "b00361a396177a9cb410ff61f20015ad"},
+        {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+         "248d6a61d20638b8e5c026930c3e6039"
+         "a33ce45964ff2167f6ecedd419db06c1"},
+        {"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn"
+         "hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+         "cf5b16a778af8380036ce59e7b049237"
+         "0b249b11e8f07a51afac45037afee9d1"},
+        {std::string(1000000, 'a'), "cdc76e5c9914fb9281a1c7e284d73e67"
+                                    "f1809a48a497200e046d39ccc7112cd0"},
+    };
+    for (const auto &[msg, want] : vectors) {
+        SCOPED_TRACE(msg.size());
+        EXPECT_EQ(sha256Hex(msg), want);
+        EXPECT_EQ(toHex(Sha256Reference::digest(msg)), want);
+        Rng rng(msg.size());
+        EXPECT_EQ(toHex(splitDigest(msg, rng, 4096)), want);
+    }
+}
+
+TEST(Sha256, DispatchedMatchesPortableForEveryLengthTo1024)
+{
+    const std::string bytes = randomBytes(1024, 20030609);
+    Rng rng(7);
+    for (std::size_t len = 0; len <= bytes.size(); len++) {
+        SCOPED_TRACE(len);
+        const std::string msg = bytes.substr(0, len);
+        const std::array<std::uint8_t, 32> want =
+            Sha256Reference::digest(msg);
+        ASSERT_EQ(oneShotDigest(msg), want);
+        for (std::uint32_t maxPiece : {3u, 70u, 300u})
+            ASSERT_EQ(splitDigest(msg, rng, maxPiece), want) << maxPiece;
+    }
+}
+
+TEST(Sha256, DispatchedMatchesPortableOnACheckpointSizedBuffer)
+{
+    // The size of one warmup checkpoint payload.
+    const std::string msg = randomBytes(1845354, 42);
+    const std::array<std::uint8_t, 32> want = Sha256Reference::digest(msg);
+    EXPECT_EQ(oneShotDigest(msg), want);
+    Rng rng(11);
+    for (std::uint32_t maxPiece : {100u, 5000u, 400000u})
+        EXPECT_EQ(splitDigest(msg, rng, maxPiece), want) << maxPiece;
+}
+
+TEST(Sha256, ConcurrentHashesMatchTheReference)
+{
+    constexpr int threads = 4;
+    std::vector<std::string> msgs;
+    std::vector<std::array<std::uint8_t, 32>> want;
+    for (int t = 0; t < threads; t++) {
+        msgs.push_back(randomBytes(100000 + 777 * t, 100 + t));
+        want.push_back(Sha256Reference::digest(msgs.back()));
+    }
+    std::vector<std::array<std::uint8_t, 32>> got(threads);
+    std::vector<std::thread> pool;
+    for (int t = 0; t < threads; t++) {
+        pool.emplace_back([&, t] {
+            Rng rng(t);
+            for (int rep = 0; rep < 8; rep++) {
+                got[t] = rep % 2 ? oneShotDigest(msgs[t])
+                                 : splitDigest(msgs[t], rng, 9000);
+                if (got[t] != want[t])
+                    return;
+            }
+        });
+    }
+    for (std::thread &th : pool)
+        th.join();
+    for (int t = 0; t < threads; t++)
+        EXPECT_EQ(got[t], want[t]) << "thread " << t;
 }

@@ -4,11 +4,12 @@
  * wrappers: the serve-layer result cache (`.cpt`, keyed on point
  * identity) and the warmup-checkpoint store (`.ckp`, keyed on warmup
  * identity). Each test runs once per store: round trip and restart
- * persistence, corrupt entries (bad header, truncation, bit rot,
- * mis-filed key, foreign magic, a wrapping length) served as counted
- * misses, the salt moving every address, the disabled store,
- * diskUsage, and a file hand-written in today's on-disk layout
- * loading -- the pin that keeps existing stores readable.
+ * persistence, corrupt entries (every truncation, a flip of every
+ * header byte, payload bit rot, an appended byte, mis-filed key,
+ * foreign magic, a wrapping length) served as counted misses, the salt
+ * moving every address, the disabled store, diskUsage, and a file
+ * hand-written in today's on-disk layout loading -- the pin that keeps
+ * existing stores readable.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "common/content_store.hh"
 #include "common/sha256.hh"
@@ -181,10 +183,16 @@ TEST_P(ContentStoreTest, CorruptEntriesAreCountedMisses)
     ASSERT_NE(nl, std::string::npos);
 
     struct Mutation {
-        const char *what;
+        std::string what;
         std::function<std::string(std::string)> apply;
     };
-    const Mutation mutations[] = {
+    const auto flip = [](std::size_t at) {
+        return [at](std::string f) {
+            f[at] ^= 0x01;
+            return f;
+        };
+    };
+    std::vector<Mutation> mutations = {
         {"no header newline", [&](std::string f) { return f.substr(0, nl); }},
         {"foreign magic",
          [&](std::string f) {
@@ -192,18 +200,29 @@ TEST_P(ContentStoreTest, CorruptEntriesAreCountedMisses)
          }},
         {"truncated payload",
          [](std::string f) { return f.substr(0, f.size() / 2); }},
-        {"bit rot",
-         [&](std::string f) {
-             f[nl + 10] ^= 0x01;
-             return f;
-         }},
+        {"bit rot", flip(nl + 10)},
         {"mis-filed key", [&](std::string) { return misfiled; }},
         {"length that wraps",
          [&](std::string) {
              return magic + " " + key + " 18446744073709551615 " +
                     sha256Hex("") + "\n";
          }},
+        {"first payload byte flipped", flip(nl + 1)},
+        {"last payload byte flipped", flip(misfiled.size() - 2)},
+        {"final newline flipped", flip(misfiled.size() - 1)},
+        // A newline, so the entry still ends in one and only the
+        // length check can catch it.
+        {"one byte appended", [](std::string f) { return f + "\n"; }},
     };
+    // Every truncation of the entry, and every byte of its header line
+    // (newline included) with its low bit flipped.
+    for (std::size_t n = 0; n < misfiled.size(); n++)
+        mutations.push_back({"truncated to " + std::to_string(n) + " bytes",
+                             [n](std::string f) { return f.substr(0, n); }});
+    for (std::size_t at = 0; at <= nl; at++)
+        mutations.push_back(
+            {"header byte " + std::to_string(at) + " flipped", flip(at)});
+
     for (const Mutation &m : mutations) {
         SCOPED_TRACE(m.what);
         store->store(key, payload);
