@@ -114,26 +114,14 @@ class SlotReserver
 
     // simlint: cold-begin -- checkpoint serialization (see
     // core/snapshot_io.hh); never runs on the simulated path
-    template <typename W>
-    void
-    save(W &w) const
-    {
-        w.u64(slots_.size());
-        for (Cycle c : slots_)
-            w.u64(c);
-    }
-
     /** The window is construction-time shape: sizes must agree. */
-    template <typename R>
-    bool
-    load(R &r)
+    template <class V>
+    void
+    fields(V &v)
     {
-        std::uint64_t n = r.u64();
-        if (!r.ok() || n != slots_.size())
-            return false;
+        v.expect(slots_.size());
         for (Cycle &c : slots_)
-            c = r.u64();
-        return r.ok();
+            v.u64(c);
     }
     // simlint: cold-end
 
@@ -156,7 +144,7 @@ class SlotReserver
     }
 
     std::vector<Cycle> slots_;
-    std::size_t mask_;
+    std::size_t mask_; // simlint-ignore(F001): window shape, not state
 };
 
 } // namespace clustersim

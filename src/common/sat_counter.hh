@@ -52,27 +52,17 @@ class SatCounter
     std::uint8_t value() const { return value_; }
     std::uint8_t max() const { return max_; }
 
-    // Checkpoint serialization (see core/snapshot_io.hh). The width is
-    // construction-time shape: a stored counter must agree with the
-    // in-memory one it is loaded into.
-    template <typename W>
+    /**
+     * Checkpointed state (see core/snapshot_io.hh). The width is
+     * construction-time shape: a stored counter must agree with the
+     * in-memory one it is loaded into.
+     */
+    template <class V>
     void
-    save(W &w) const
+    fields(V &v)
     {
-        w.u8(max_);
-        w.u8(value_);
-    }
-
-    template <typename R>
-    bool
-    load(R &r)
-    {
-        std::uint8_t m = r.u8();
-        std::uint8_t v = r.u8();
-        if (!r.ok() || m != max_ || v > m)
-            return false;
-        value_ = v;
-        return true;
+        v.expect(max_);
+        v.u8(value_, max_);
     }
 
   private:

@@ -116,40 +116,6 @@ class SmallVec
     const T *begin() const { return data(); }
     const T *end() const { return data() + size_; }
 
-    // simlint: cold-begin -- checkpoint serialization (see
-    // core/snapshot_io.hh). Element encoding is the caller's via the
-    // callback, keeping this header dependency-free.
-    template <typename W, typename Fn>
-    void
-    save(W &w, Fn &&elem) const
-    {
-        w.u64(size_);
-        for (std::size_t i = 0; i < size_; ++i)
-            elem(w, data()[i]);
-    }
-
-    /**
-     * @param max_size Sanity bound on the stored length; a longer list
-     *                 is treated as corruption.
-     */
-    template <typename R, typename Fn>
-    bool
-    load(R &r, Fn &&elem, std::uint64_t max_size)
-    {
-        std::uint64_t n = r.u64();
-        if (!r.ok() || n > max_size)
-            return false;
-        clear();
-        for (std::uint64_t i = 0; i < n; ++i) {
-            T v{};
-            if (!elem(r, v))
-                return false;
-            push_back(v);
-        }
-        return true;
-    }
-    // simlint: cold-end
-
   private:
     // simlint: cold-begin -- assign() serves the copy special members;
     // grow() is the documented inline-capacity spill: it runs at most

@@ -24,21 +24,12 @@ class Counter
     void reset() { value_ = 0; }
     std::uint64_t value() const { return value_; }
 
-    // Checkpoint serialization (see core/snapshot_io.hh). Templated so
-    // this header stays dependency-free.
-    template <typename W>
+    /** Checkpointed state (see core/snapshot_io.hh). */
+    template <class V>
     void
-    save(W &w) const
+    fields(V &v)
     {
-        w.u64(value_);
-    }
-
-    template <typename R>
-    bool
-    load(R &r)
-    {
-        value_ = r.u64();
-        return r.ok();
+        v.u64(value_);
     }
 
   private:

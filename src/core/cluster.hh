@@ -15,9 +15,6 @@
 
 namespace clustersim {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /**
  * A cluster's structural resources. Occupancy counters change at
  * dispatch (allocate) and at scheduled issue/commit events (release);
@@ -75,16 +72,32 @@ class Cluster
 
     const ClusterParams &params() const { return params_; }
 
-    /** Checkpoint serialization (defined in core/snapshot_io.cc). */
-    void save(SnapshotWriter &w) const;
-    bool load(SnapshotReader &r);
+    /** Checkpointed state (see core/snapshot_io.hh). */
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v.i64(intIqUsed_, 0, params_.intIssueQueue);
+        v.i64(fpIqUsed_, 0, params_.fpIssueQueue);
+        v.i64(intRegsUsed_, 0, params_.intRegs);
+        v.i64(fpRegsUsed_, 0, params_.fpRegs);
+        auto units = [&v](std::vector<SlotReserver> &kind) {
+            v.expect(kind.size());
+            for (SlotReserver &u : kind)
+                u.fields(v);
+        };
+        units(intAlus_);
+        units(intMultDivs_);
+        units(fpAlus_);
+        units(fpMultDivs_);
+    }
 
   private:
     SlotReserver &unitFor(OpClass op);
 
-    int id_;
+    int id_;           // simlint-ignore(F001): identity, from the config
     ClusterParams params_;
-    FuLatencies lat_;
+    FuLatencies lat_;  // simlint-ignore(F001): identity, from the config
 
     int intIqUsed_ = 0;
     int fpIqUsed_ = 0;

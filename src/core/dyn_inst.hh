@@ -29,6 +29,22 @@ struct ValueInfo {
 
     ValueInfo() { availAt.fill(neverCycle); }
 
+    /**
+     * Checkpointed state (see core/snapshot_io.hh).
+     * @param clusters The donor's hardware cluster count.
+     */
+    template <class V>
+    void
+    fields(V &v, int clusters)
+    {
+        v.u64(producer);
+        v.u64(producerPc);
+        v.i64(cluster, 0, clusters - 1);
+        v.u64(completeAt);
+        for (Cycle &c : availAt)
+            v.u64(c);
+    }
+
     /** Initial architectural state: ready everywhere at cycle 0. */
     static ValueInfo
     initial()
@@ -44,6 +60,14 @@ struct ValueInfo {
 struct Waiter {
     InstSeqNum consumer = 0;
     int srcIdx = 0;
+
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v.u64(consumer);
+        v.i64(srcIdx, 0, 1);
+    }
 };
 
 /** One in-flight instruction (a ROB entry). */
@@ -98,6 +122,47 @@ struct DynInst {
                                           ///< mapping of op.dest
     bool prevDestHadReg = false;    ///< previous mapping held a phys reg
     bool retryArmed = false; ///< pending load woken by an LSQ change
+
+    /**
+     * Checkpointed state (see core/snapshot_io.hh).
+     * @param clusters The donor's hardware cluster count.
+     * @param banks    The donor's L1 bank count.
+     */
+    template <class V>
+    void
+    fields(V &v, int clusters, int banks)
+    {
+        op.fields(v);
+        v.u64(seq);
+        v.i64(cluster, invalidCluster, clusters - 1);
+        v.u64(fetchCycle);
+        v.u64(dispatchCycle);
+        v.u64(enterIqCycle);
+        v.u64(issueCycle);
+        v.u64(completeCycle);
+        for (Cycle &c : srcReady)
+            v.u64(c);
+        for (Addr &pc : srcProducerPc)
+            v.u64(pc);
+        v.i64(pendingSrcs, 0, 2);
+        v.boolean(issueScheduled);
+        v.boolean(completed);
+        value.fields(v, clusters);
+        v.list(waiters, 4096, [&](Waiter &w) { w.fields(v); });
+        v.boolean(addrGenScheduled);
+        v.u64(addrReadyAt);
+        v.u64(addrAtBankAt);
+        v.u64(storeDataAt);
+        v.i64(bank, -1, banks - 1);
+        v.i64(predictedBank, -1, banks - 1);
+        v.boolean(loadIssuedToCache);
+        v.boolean(mispredicted);
+        v.boolean(distant);
+        v.i64(prevDest, invalidReg, numLogicalRegs - 1);
+        v.i64(prevDestCluster, invalidCluster, clusters - 1);
+        v.boolean(prevDestHadReg);
+        v.boolean(retryArmed);
+    }
 
     /**
      * Reinitialize a recycled ROB ring slot to the exact state a

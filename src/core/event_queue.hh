@@ -122,68 +122,26 @@ class CalendarQueue
     // simlint: cold-begin -- checkpoint serialization (see
     // core/snapshot_io.hh). Bucket phase is part of the state (cycle
     // keys are implicit in bucket indices relative to drained_), so the
-    // per-bucket layout is preserved exactly. Element encoding is the
-    // caller's via the callbacks: T may be a private type of the owner
-    // (the processor's IqEvent), which the owner's callback can name.
-    template <typename W, typename Fn>
+    // per-bucket layout is preserved exactly. Elements go through the
+    // owner's elem(T &): T may be a private type of the owner (the
+    // processor's IqEvent), and only the owner knows its bounds.
+    template <class V, class Fn>
     void
-    save(W &w, Fn &&elem) const
+    fields(V &v, Fn &&elem)
     {
-        w.u64(drained_);
-        w.u64(overflowMin_);
-        w.u64(size_);
-        for (const auto &bucket : buckets_) {
-            w.u64(bucket.size());
-            for (const T &ev : bucket)
-                elem(w, ev);
-        }
-        w.u64(overflow_.size());
-        for (const auto &p : overflow_) {
-            w.u64(p.first);
-            elem(w, p.second);
-        }
-    }
-
-    template <typename R, typename Fn>
-    bool
-    load(R &r, Fn &&elem)
-    {
-        Cycle drained = r.u64();
-        Cycle overflow_min = r.u64();
-        std::uint64_t total = r.u64();
-        if (!r.ok())
-            return false;
-        std::uint64_t seen = 0;
+        v.u64(drained_);
+        v.u64(overflowMin_);
+        v.u64(size_);
+        std::size_t seen = 0;
         for (auto &bucket : buckets_) {
-            std::uint64_t n = r.u64();
-            if (!r.ok() || n > total - seen)
-                return false;
-            bucket.clear();
-            for (std::uint64_t i = 0; i < n; ++i) {
-                T ev{};
-                if (!elem(r, ev))
-                    return false;
-                bucket.push_back(ev);
-            }
-            seen += n;
+            v.list(bucket, size_ - seen, elem);
+            seen += bucket.size();
         }
-        std::uint64_t spilled = r.u64();
-        if (!r.ok() || seen + spilled != total)
-            return false;
-        overflow_.clear();
-        for (std::uint64_t i = 0; i < spilled; ++i) {
-            Cycle c = r.u64();
-            T ev{};
-            if (!elem(r, ev))
-                return false;
-            overflow_.emplace_back(c, ev);
-        }
-        if (!r.ok())
-            return false;
-        drained_ = drained;
-        overflowMin_ = overflow_min;
-        size_ = static_cast<std::size_t>(total);
-        return true;
+        v.list(overflow_, size_ - seen, [&](std::pair<Cycle, T> &p) {
+            v.u64(p.first);
+            elem(p.second);
+        });
+        v.check(seen + overflow_.size() == size_);
     }
     // simlint: cold-end
 

@@ -31,6 +31,15 @@ struct FetchEntry {
     MicroOp op;
     Cycle readyAt = 0;        ///< earliest dispatch cycle
     bool mispredicted = false; ///< fetch is stalled behind this branch
+
+    template <class V>
+    void
+    fields(V &v)
+    {
+        op.fields(v);
+        v.u64(readyAt);
+        v.boolean(mispredicted);
+    }
 };
 
 /** The fetch stage. */
@@ -100,6 +109,21 @@ class FetchUnit
         Cycle stallUntil = 0;
         Counter fetched;
         Counter icacheMisses;
+
+        /** Checkpointed state (see core/snapshot_io.hh). */
+        template <class V>
+        void
+        fields(V &v)
+        {
+            branch.fields(v);
+            icache.fields(v);
+            v.list(queue, 65536, [&](FetchEntry &e) { e.fields(v); });
+            v.optional(pending, [&](MicroOp &op) { op.fields(v); });
+            v.boolean(stalledOnBranch);
+            v.u64(stallUntil);
+            fetched.fields(v);
+            icacheMisses.fields(v);
+        }
     };
 
     Snapshot snapshot() const;

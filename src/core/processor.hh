@@ -29,6 +29,7 @@
 #include "core/fetch.hh"
 #include "core/params.hh"
 #include "core/rob.hh"
+#include "core/snapshot_io.hh"
 #include "core/steering.hh"
 #include "interconnect/network.hh"
 #include "memory/l1_cache.hh"
@@ -40,9 +41,6 @@
 #include "reconfig/controller.hh"
 
 namespace clustersim {
-
-class SnapshotWriter;
-class SnapshotReader;
 
 /** Aggregate end-of-run statistics. */
 struct ProcessorStats {
@@ -65,6 +63,34 @@ struct ProcessorStats {
     std::uint64_t stallRob = 0;    ///< ROB full
     std::uint64_t stallEmpty = 0;  ///< fetch queue empty (front end)
     double activeClusterSum = 0;      ///< integral of active clusters
+
+    /**
+     * Every statistic, by name: checkpoints carry them, and the
+     * determinism tests compare them (see core/snapshot_io.hh).
+     */
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v("cycles", cycles);
+        v("committed", committed);
+        v("committedBranches", committedBranches);
+        v("mispredicts", mispredicts);
+        v("loads", loads);
+        v("stores", stores);
+        v("distantIssued", distantIssued);
+        v("regTransfers", regTransfers);
+        v("bankLookups", bankLookups);
+        v("bankMispredicts", bankMispredicts);
+        v("reconfigurations", reconfigurations);
+        v("flushWritebacks", flushWritebacks);
+        v("stallIq", stallIq);
+        v("stallReg", stallReg);
+        v("stallLsq", stallLsq);
+        v("stallRob", stallRob);
+        v("stallEmpty", stallEmpty);
+        v("activeClusterSum", activeClusterSum);
+    }
 
     double ipc() const
     {
@@ -263,6 +289,15 @@ class Processor
         InstSeqNum seq;
         int cluster;
         bool fp;
+
+        template <class V>
+        void
+        fields(V &v, int clusters)
+        {
+            v.u64(seq);
+            v.i64(cluster, 0, clusters - 1);
+            v.boolean(fp);
+        }
     };
     CalendarQueue<IqEvent> iqEvents_;
 
@@ -306,16 +341,58 @@ struct Processor::Snapshot {
     std::unique_ptr<ReconfigController> controller;
 
     /**
-     * Serialize into a deterministic, versioned byte stream (defined in
-     * core/snapshot_io.cc). load() deserializes *into* this snapshot,
-     * which must have been captured from a processor built with the
-     * same configuration (the "donor"): config-sized containers keep
-     * their shapes and are shape-verified, dynamic state is replaced.
-     * Returns false -- leaving the snapshot unusable -- on any
-     * malformed, truncated, or version-mismatched input.
+     * The serialized form (see core/snapshot_io.hh), read back *into* a
+     * snapshot captured from a processor built with the same
+     * configuration (the "donor"): config-sized containers keep their
+     * shapes and are shape-verified, dynamic state is replaced, and
+     * every restored index is bounded by the donor's own cluster and
+     * L1 bank counts.
      */
-    void save(SnapshotWriter &w) const;
-    bool load(SnapshotReader &r);
+    template <class V>
+    void
+    fields(V &v)
+    {
+        const int hw = static_cast<int>(clusters.size());
+        const int banks = static_cast<int>(l1.ports.size());
+        v.expect(snapshotFormatVersion);
+        fetch.fields(v);
+        network.fields(v);
+        l1.fields(v);
+        l2.fields(v);
+        lsq.fields(v, banks);
+        v.expect(clusters.size());
+        for (Cluster &c : clusters)
+            c.fields(v);
+        dtlb.fields(v);
+        bankPred.fields(v);
+        critPred.fields(v);
+        rob.fields(v, hw, banks);
+        for (InstSeqNum &s : renameTable)
+            v.u64(s);
+        for (ValueInfo &val : archValues)
+            val.fields(v, hw);
+        v.u64(cycle);
+        v.i64(activeClusters, 1, hw);
+        v.i64(pendingTarget, 0, hw);
+        v.u64(dispatchStallUntil);
+        v.list(pendingLoads, static_cast<std::uint64_t>(rob.capacity()),
+               [&](InstSeqNum &s) { v.u64(s); });
+        v.i64(armedPending, 0,
+              static_cast<std::int64_t>(pendingLoads.size()));
+        v.u8(lastDispatchStall, static_cast<unsigned>(StallCause::Reg));
+        v.boolean(lastStepIdle);
+        iqEvents.fields(v, [&](IqEvent &ev) { ev.fields(v, hw); });
+        stats.fields(v);
+        v.u64(tracePosition);
+        // The donor's clone (same factory as the stored one, by key
+        // construction) receives the dynamic state; presence and name
+        // must agree or the payload is from a different plan.
+        v.expect(controller != nullptr);
+        if (controller) {
+            v.expect(controller->name());
+            controller->checkpoint(v);
+        }
+    }
 };
 
 } // namespace clustersim

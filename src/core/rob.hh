@@ -12,9 +12,6 @@
 
 namespace clustersim {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /**
  * The ROB. Sequence numbers are assigned densely at dispatch, so lookup
  * is an offset from the head. The simulator is trace-driven with
@@ -72,9 +69,26 @@ class ReorderBuffer
     /** Next sequence number that will be assigned. */
     InstSeqNum nextSeq() const { return nextSeq_; }
 
-    /** Checkpoint serialization (defined in core/snapshot_io.cc). */
-    void save(SnapshotWriter &w) const;
-    bool load(SnapshotReader &r);
+    /**
+     * Checkpointed state (see core/snapshot_io.hh). Every ring slot
+     * travels, live or not: recycled slots carry the exact residual
+     * state a straight-line run would have, which is what bit-identical
+     * restore requires.
+     * @param clusters The donor's hardware cluster count.
+     * @param banks    The donor's L1 bank count.
+     */
+    template <class V>
+    void
+    fields(V &v, int clusters, int banks)
+    {
+        v.expect(slots_.size());
+        for (DynInst &d : slots_)
+            d.fields(v, clusters, banks);
+        v.u64(head_, slots_.size() - 1);
+        v.u64(size_, slots_.size());
+        v.u64(nextSeq_);
+        v.check(nextSeq_ >= 1);
+    }
 
   private:
     /** Slot index for the in-flight entry at ring offset off from head. */
@@ -89,7 +103,7 @@ class ReorderBuffer
         return i;
     }
 
-    int cap_;
+    int cap_; // simlint-ignore(F001): capacity, from the config
     std::vector<DynInst> slots_;
     std::size_t head_ = 0;
     std::size_t size_ = 0;

@@ -97,6 +97,25 @@ class Network
         Counter transfers;
         Counter totalHops;
         Counter totalLatency;
+
+        /**
+         * Checkpointed state (see core/snapshot_io.hh). The link count
+         * and window size are topology shape.
+         */
+        template <class V>
+        void
+        fields(V &v)
+        {
+            v.expect(occupancy.size());
+            for (std::vector<Cycle> &link : occupancy) {
+                v.expect(link.size());
+                for (Cycle &c : link)
+                    v.u64(c);
+            }
+            transfers.fields(v);
+            totalHops.fields(v);
+            totalLatency.fields(v);
+        }
     };
 
     Snapshot snapshot() const;

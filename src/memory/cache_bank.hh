@@ -16,9 +16,6 @@
 
 namespace clustersim {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /** Outcome of a cache array access. */
 struct CacheAccessResult {
     bool hit = false;
@@ -67,9 +64,20 @@ class CacheBank
 
     void resetStats();
 
-    /** Checkpoint serialization (defined in core/snapshot_io.cc). */
-    void save(SnapshotWriter &w) const;
-    bool load(SnapshotReader &r);
+    /** Checkpointed state (see core/snapshot_io.hh). */
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v.expect(lines_.size());
+        for (Line &l : lines_)
+            l.fields(v);
+        v.u64(useClock_);
+        v.u64(lastIdx_, lines_.empty() ? 0 : lines_.size() - 1);
+        accesses_.fields(v);
+        misses_.fields(v);
+        writebacks_.fields(v);
+    }
 
   private:
     struct Line {
@@ -77,15 +85,25 @@ class CacheBank
         bool dirty = false;
         Addr tag = 0;
         std::uint64_t lastUse = 0;
+
+        template <class V>
+        void
+        fields(V &v)
+        {
+            v.boolean(valid);
+            v.boolean(dirty);
+            v.u64(tag);
+            v.u64(lastUse);
+        }
     };
 
     std::size_t setIndex(Addr addr) const;
     Addr lineAddr(Addr addr) const;
 
-    std::size_t sets_;
-    int ways_;
-    int lineBytes_;
-    int lineShift_;
+    std::size_t sets_; // simlint-ignore(F001): geometry, from the config
+    int ways_;         // simlint-ignore(F001): geometry, from the config
+    int lineBytes_;    // simlint-ignore(F001): geometry, from the config
+    int lineShift_;    // simlint-ignore(F001): geometry, from the config
     std::vector<Line> lines_;
     std::uint64_t useClock_ = 0;
     /**

@@ -102,6 +102,19 @@ class L1Cache
     struct Snapshot {
         std::vector<CacheBank> arrays;
         std::vector<SlotReserver> ports;
+
+        /** Checkpointed state (see core/snapshot_io.hh). */
+        template <class V>
+        void
+        fields(V &v)
+        {
+            v.expect(arrays.size());
+            for (CacheBank &b : arrays)
+                b.fields(v);
+            v.expect(ports.size());
+            for (SlotReserver &p : ports)
+                p.fields(v);
+        }
     };
 
     Snapshot snapshot() const;

@@ -14,9 +14,6 @@
 
 namespace clustersim {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /** L2 configuration. */
 struct L2Params {
     std::size_t sizeBytes = 2 * 1024 * 1024;
@@ -48,12 +45,17 @@ class L2Cache
 
     const L2Params &params() const { return params_; }
 
-    /** Checkpoint serialization (defined in core/snapshot_io.cc). */
-    void save(SnapshotWriter &w) const;
-    bool load(SnapshotReader &r);
+    /** Checkpointed state (see core/snapshot_io.hh). */
+    template <class V>
+    void
+    fields(V &v)
+    {
+        array_.fields(v);
+        port_.fields(v);
+    }
 
   private:
-    L2Params params_;
+    L2Params params_; // simlint-ignore(F001): identity, from the config
     CacheBank array_;
     SlotReserver port_;
 };

@@ -28,9 +28,6 @@
 
 namespace clustersim {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /** Disambiguation verdict for a load with a known address. */
 enum class LoadCheck {
     BlockedOlderStore, ///< an older store's address is not yet computed
@@ -76,6 +73,30 @@ struct LsqEntry {
     int dummyClusters = 0;           ///< active clusters at allocation
     /** Pending loads to wake when this store resolves (addr or data). */
     SmallVec<InstSeqNum, 2> loadWaiters;
+
+    /**
+     * Checkpointed state (see core/snapshot_io.hh).
+     * @param clusters   The donor's hardware cluster count.
+     * @param banks      The donor's L1 bank count.
+     * @param max_waiters The donor queue's capacity.
+     */
+    template <class V>
+    void
+    fields(V &v, int clusters, int banks, std::size_t max_waiters)
+    {
+        v.u64(seq);
+        v.boolean(isStore);
+        v.i64(cluster, 0, clusters - 1);
+        v.i64(bank, 0, banks - 1);
+        v.u64(addr);
+        v.boolean(addrValid);
+        v.u64(addrKnownAt);
+        v.u64(broadcastAt);
+        v.u64(dataReadyAt);
+        v.boolean(accessed);
+        v.i64(dummyClusters, 0, clusters);
+        v.list(loadWaiters, max_waiters, [&](InstSeqNum &s) { v.u64(s); });
+    }
 };
 
 /** The load-store queue. */
@@ -185,9 +206,34 @@ class LoadStoreQueue
     std::uint64_t blockedChecks() const { return blocked_.value(); }
     void resetStats();
 
-    /** Checkpoint serialization (defined in core/snapshot_io.cc). */
-    void save(SnapshotWriter &w) const;
-    bool load(SnapshotReader &r);
+    /**
+     * Checkpointed state (see core/snapshot_io.hh).
+     * @param banks The donor's L1 bank count: entry banks index it.
+     */
+    template <class V>
+    void
+    fields(V &v, int banks)
+    {
+        v.expect(slots_.size());
+        for (LsqEntry &e : slots_)
+            e.fields(v, numClusters_, banks, slots_.size());
+        v.u64(head_, slots_.size() - 1);
+        v.u64(size_, slots_.size());
+        v.expect(seqMap_.size());
+        for (std::uint32_t &s : seqMap_)
+            v.u32(s, static_cast<std::uint32_t>(slots_.size() - 1));
+        v.expect(storeRing_.size());
+        for (std::uint32_t &s : storeRing_)
+            v.u32(s, static_cast<std::uint32_t>(slots_.size() - 1));
+        v.u64(storeHead_, storeRing_.size() - 1);
+        v.u64(storeCount_, storeRing_.size());
+        v.expect(occupancy_.size());
+        for (int &o : occupancy_)
+            v.i64(o, 0, perCluster_ * numClusters_);
+        v.list(woken_, slots_.size(), [&](InstSeqNum &s) { v.u64(s); });
+        forwards_.fields(v);
+        blocked_.fields(v);
+    }
 
   private:
     LsqEntry *find(InstSeqNum seq);
@@ -196,7 +242,7 @@ class LoadStoreQueue
     /** Cycle at which a store's address is visible in `cluster`. */
     Cycle visibleAt(const LsqEntry &store, int cluster) const;
 
-    bool distributed_;
+    bool distributed_; // simlint-ignore(F001): organization, from the config
     int numClusters_;
     int perCluster_;
 

@@ -14,9 +14,6 @@
 
 namespace clustersim {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /** Set-associative TLB with LRU replacement and a fixed miss penalty. */
 class Tlb
 {
@@ -41,21 +38,40 @@ class Tlb
     Cycle missPenalty() const { return missPenalty_; }
     void resetStats();
 
-    /** Checkpoint serialization (defined in core/snapshot_io.cc). */
-    void save(SnapshotWriter &w) const;
-    bool load(SnapshotReader &r);
+    /** Checkpointed state (see core/snapshot_io.hh). */
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v.expect(entries_.size());
+        for (Entry &e : entries_)
+            e.fields(v);
+        v.u64(useClock_);
+        v.u64(lastIdx_, entries_.empty() ? 0 : entries_.size() - 1);
+        accesses_.fields(v);
+        misses_.fields(v);
+    }
 
   private:
     struct Entry {
         bool valid = false;
         Addr vpn = 0;
         std::uint64_t lastUse = 0;
+
+        template <class V>
+        void
+        fields(V &v)
+        {
+            v.boolean(valid);
+            v.u64(vpn);
+            v.u64(lastUse);
+        }
     };
 
-    std::size_t sets_;
-    int ways_;
-    int pageShift_;
-    Cycle missPenalty_;
+    std::size_t sets_;   // simlint-ignore(F001): geometry, from the config
+    int ways_;           // simlint-ignore(F001): geometry, from the config
+    int pageShift_;      // simlint-ignore(F001): geometry, from the config
+    Cycle missPenalty_;  // simlint-ignore(F001): timing, from the config
     std::vector<Entry> entries_;
     std::uint64_t useClock_ = 0;
     /**

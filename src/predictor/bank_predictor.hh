@@ -16,9 +16,6 @@
 
 namespace clustersim {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /**
  * Two-level bank predictor. The first level records, per memory
  * instruction, a short history of recently accessed banks; the second
@@ -63,9 +60,21 @@ class BankPredictor
 
     int maxBanks() const { return maxBanks_; }
 
-    /** Checkpoint serialization (defined in core/snapshot_io.cc). */
-    void save(SnapshotWriter &w) const;
-    bool load(SnapshotReader &r);
+    /** Checkpointed state (see core/snapshot_io.hh). */
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v.expect(historyTable_.size());
+        for (std::uint32_t &h : historyTable_)
+            v.u32(h);
+        // predict() indexes clusters with these values directly
+        v.expect(bankTable_.size());
+        for (std::uint8_t &b : bankTable_)
+            v.u8(b, static_cast<unsigned>(maxBanks_ - 1));
+        lookups_.fields(v);
+        correct_.fields(v);
+    }
 
   private:
     std::size_t l1Index(Addr pc) const;
@@ -73,8 +82,8 @@ class BankPredictor
 
     std::vector<std::uint32_t> historyTable_;
     std::vector<std::uint8_t> bankTable_;
-    std::size_t l1Mask_;
-    std::size_t l2Mask_;
+    std::size_t l1Mask_; // simlint-ignore(F001): index mask, from the config
+    std::size_t l2Mask_; // simlint-ignore(F001): index mask, from the config
     int maxBanks_;
 
     Counter lookups_;

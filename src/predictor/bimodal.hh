@@ -13,9 +13,6 @@
 
 namespace clustersim {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /** Classic bimodal predictor: a table of 2-bit counters indexed by PC. */
 class BimodalPredictor
 {
@@ -31,15 +28,21 @@ class BimodalPredictor
 
     std::size_t entries() const { return table_.size(); }
 
-    /** Checkpoint serialization (defined in core/snapshot_io.cc). */
-    void save(SnapshotWriter &w) const;
-    bool load(SnapshotReader &r);
+    /** Checkpointed state (see core/snapshot_io.hh). */
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v.expect(table_.size());
+        for (SatCounter &c : table_)
+            c.fields(v);
+    }
 
   private:
     std::size_t index(Addr pc) const;
 
     std::vector<SatCounter> table_;
-    std::size_t mask_;
+    std::size_t mask_; // simlint-ignore(F001): index mask, from the config
 };
 
 } // namespace clustersim

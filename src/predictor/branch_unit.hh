@@ -15,9 +15,6 @@
 
 namespace clustersim {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /** Configuration of the branch unit (paper Table 1 defaults). */
 struct BranchUnitParams {
     std::size_t bimodalEntries = 2048;
@@ -67,9 +64,19 @@ class BranchUnit
 
     void resetStats();
 
-    /** Checkpoint serialization (defined in core/snapshot_io.cc). */
-    void save(SnapshotWriter &w) const;
-    bool load(SnapshotReader &r);
+    /** Checkpointed state (see core/snapshot_io.hh). */
+    template <class V>
+    void
+    fields(V &v)
+    {
+        direction_.fields(v);
+        btb_.fields(v);
+        ras_.fields(v);
+        lookups_.fields(v);
+        mispredicts_.fields(v);
+        dirMispredicts_.fields(v);
+        targetMispredicts_.fields(v);
+    }
 
   private:
     CombiningPredictor direction_;

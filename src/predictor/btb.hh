@@ -14,9 +14,6 @@
 
 namespace clustersim {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /** Set-associative branch target buffer with LRU replacement. */
 class Btb
 {
@@ -32,9 +29,16 @@ class Btb
     std::size_t sets() const { return sets_; }
     int ways() const { return ways_; }
 
-    /** Checkpoint serialization (defined in core/snapshot_io.cc). */
-    void save(SnapshotWriter &w) const;
-    bool load(SnapshotReader &r);
+    /** Checkpointed state (see core/snapshot_io.hh). */
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v.expect(entries_.size());
+        for (Entry &e : entries_)
+            e.fields(v);
+        v.u64(useClock_);
+    }
 
   private:
     struct Entry {
@@ -42,12 +46,22 @@ class Btb
         Addr tag = 0;
         Addr target = 0;
         std::uint64_t lastUse = 0;
+
+        template <class V>
+        void
+        fields(V &v)
+        {
+            v.boolean(valid);
+            v.u64(tag);
+            v.u64(target);
+            v.u64(lastUse);
+        }
     };
 
     std::size_t setIndex(Addr pc) const;
 
-    std::size_t sets_;
-    int ways_;
+    std::size_t sets_; // simlint-ignore(F001): geometry, from the config
+    int ways_;         // simlint-ignore(F001): geometry, from the config
     std::vector<Entry> entries_;
     std::uint64_t useClock_ = 0;
 };

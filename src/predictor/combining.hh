@@ -15,9 +15,6 @@
 
 namespace clustersim {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /** McFarling-style combining direction predictor. */
 class CombiningPredictor
 {
@@ -31,9 +28,17 @@ class CombiningPredictor
     bool predict(Addr pc) const;
     void update(Addr pc, bool taken);
 
-    /** Checkpoint serialization (defined in core/snapshot_io.cc). */
-    void save(SnapshotWriter &w) const;
-    bool load(SnapshotReader &r);
+    /** Checkpointed state (see core/snapshot_io.hh). */
+    template <class V>
+    void
+    fields(V &v)
+    {
+        bimodal_.fields(v);
+        twoLevel_.fields(v);
+        v.expect(chooser_.size());
+        for (SatCounter &c : chooser_)
+            c.fields(v);
+    }
 
   private:
     std::size_t chooserIndex(Addr pc) const;
@@ -42,6 +47,7 @@ class CombiningPredictor
     TwoLevelPredictor twoLevel_;
     /** Chooser counters: taken-half selects the two-level component. */
     std::vector<SatCounter> chooser_;
+    // simlint-ignore(F001): index mask, from the config
     std::size_t chooserMask_;
 };
 

@@ -12,9 +12,6 @@
 
 namespace clustersim {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /**
  * Circular return-address stack. Overflow wraps (oldest entries are
  * silently overwritten); underflow returns 0 (a guaranteed mispredict).
@@ -32,9 +29,17 @@ class ReturnAddressStack
     std::size_t depth() const { return stack_.size(); }
     void clear();
 
-    /** Checkpoint serialization (defined in core/snapshot_io.cc). */
-    void save(SnapshotWriter &w) const;
-    bool load(SnapshotReader &r);
+    /** Checkpointed state (see core/snapshot_io.hh). */
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v.expect(stack_.size());
+        v.u64(topIdx_, stack_.empty() ? 0 : stack_.size() - 1);
+        v.u64(size_, stack_.size());
+        for (Addr &a : stack_)
+            v.u64(a);
+    }
 
   private:
     std::vector<Addr> stack_;

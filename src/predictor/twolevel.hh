@@ -16,9 +16,6 @@
 
 namespace clustersim {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /** Two-level adaptive predictor (PAg-style). */
 class TwoLevelPredictor
 {
@@ -38,9 +35,18 @@ class TwoLevelPredictor
     /** Current history register value for a PC (for tests). */
     std::uint32_t history(Addr pc) const;
 
-    /** Checkpoint serialization (defined in core/snapshot_io.cc). */
-    void save(SnapshotWriter &w) const;
-    bool load(SnapshotReader &r);
+    /** Checkpointed state (see core/snapshot_io.hh). */
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v.expect(historyTable_.size());
+        for (std::uint32_t &h : historyTable_)
+            v.u32(h, historyMask_);
+        v.expect(patternTable_.size());
+        for (SatCounter &c : patternTable_)
+            c.fields(v);
+    }
 
   private:
     std::size_t l1Index(Addr pc) const;
@@ -48,8 +54,8 @@ class TwoLevelPredictor
 
     std::vector<std::uint32_t> historyTable_;
     std::vector<SatCounter> patternTable_;
-    std::size_t l1Mask_;
-    std::size_t l2Mask_;
+    std::size_t l1Mask_; // simlint-ignore(F001): index mask, from the config
+    std::size_t l2Mask_; // simlint-ignore(F001): index mask, from the config
     std::uint32_t historyMask_;
 };
 

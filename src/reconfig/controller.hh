@@ -16,12 +16,10 @@
 #include <string>
 
 #include "common/types.hh"
+#include "core/snapshot_io.hh"
 #include "workload/isa.hh"
 
 namespace clustersim {
-
-class SnapshotWriter;
-class SnapshotReader;
 
 /** Per-committed-instruction information visible to controllers. */
 struct CommitEvent {
@@ -86,21 +84,41 @@ class ReconfigController
     }
 
     /**
-     * Serialize the controller's *dynamic* state (interval counters,
-     * exploration phase, history tables) for on-disk checkpoints.
-     * Config-derived members (params, candidate lists, hwClusters_) are
-     * reproduced by constructing the controller from the run plan and
-     * attaching it, so they are deliberately not written. Stateless
-     * controllers (e.g. StaticController) need not override. Defined in
-     * core/snapshot_io.cc for the stateful controllers.
+     * Write or read the controller's *dynamic* state (interval
+     * counters, exploration phase, history tables) for on-disk
+     * checkpoints. Config-derived members (params, candidate lists,
+     * hwClusters_) are reproduced by constructing the controller from
+     * the run plan and attaching it, so they are deliberately not
+     * visited. Stateless controllers (e.g. StaticController) need not
+     * override; stateful ones derive from CheckpointedController.
      */
-    virtual void saveState(SnapshotWriter &) const {}
-
-    /** Inverse of saveState; returns false on malformed input. */
-    virtual bool loadState(SnapshotReader &) { return true; }
+    virtual void checkpoint(FieldWriter &) {}
+    virtual void checkpoint(FieldReader &) {}
 
   protected:
     int hwClusters_ = 16;
+};
+
+/**
+ * Base of every controller with dynamic state: routes both checkpoint()
+ * hooks to Derived::fields(), the one list of that state (see
+ * core/snapshot_io.hh).
+ */
+template <class Derived>
+class CheckpointedController : public ReconfigController
+{
+  public:
+    void
+    checkpoint(FieldWriter &v) override
+    {
+        static_cast<Derived &>(*this).fields(v);
+    }
+
+    void
+    checkpoint(FieldReader &v) override
+    {
+        static_cast<Derived &>(*this).fields(v);
+    }
 };
 
 /** Fixed-configuration controller (the static base cases). */

@@ -20,9 +20,6 @@
 
 namespace clustersim {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /** Sliding-window distant-ILP counter. */
 class DistantIlpTracker
 {
@@ -54,15 +51,33 @@ class DistantIlpTracker
 
     void reset();
 
-    /** Checkpoint serialization (defined in core/snapshot_io.cc). */
-    void save(SnapshotWriter &w) const;
-    bool load(SnapshotReader &r);
+    /** Checkpointed state (see core/snapshot_io.hh). */
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v.expect(ring_.size());
+        for (Slot &s : ring_)
+            s.fields(v);
+        v.u64(head_, ring_.empty() ? 0 : ring_.size() - 1);
+        v.u64(size_, ring_.size());
+        v.i64(count_, 0, static_cast<std::int64_t>(size_));
+    }
 
   private:
     struct Slot {
         Addr pc = 0;
         bool distant = false;
         bool marked = false;
+
+        template <class V>
+        void
+        fields(V &v)
+        {
+            v.u64(pc);
+            v.boolean(distant);
+            v.boolean(marked);
+        }
     };
 
     std::vector<Slot> ring_;

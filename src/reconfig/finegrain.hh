@@ -46,7 +46,8 @@ struct FinegrainParams {
 };
 
 /** Fine-grained (branch-boundary) reconfiguration controller. */
-class FinegrainController : public ReconfigController
+class FinegrainController
+    : public CheckpointedController<FinegrainController>
 {
   public:
     explicit FinegrainController(const FinegrainParams &params = {});
@@ -73,8 +74,22 @@ class FinegrainController : public ReconfigController
      *  aliased table slot (the resident entry is never evicted). */
     std::uint64_t tableConflicts() const { return tableConflicts_; }
 
-    void saveState(SnapshotWriter &w) const override;
-    bool loadState(SnapshotReader &r) override;
+    /** Checkpointed state (see core/snapshot_io.hh). */
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v.expect(table_.size());
+        for (TableEntry &e : table_)
+            e.fields(v, params_.samplesNeeded, hwClusters_);
+        tracker_.fields(v);
+        v.i64(branchCounter_, 0, params_.branchStride);
+        v.u64(sinceFlush_);
+        v.i64(target_, 1, hwClusters_);
+        v.u64(reconfigPoints_);
+        v.u64(tableFlushes_);
+        v.u64(tableConflicts_);
+    }
 
   private:
     struct TableEntry {
@@ -84,16 +99,28 @@ class FinegrainController : public ReconfigController
         std::int64_t distantSum = 0;
         bool decided = false;
         int advice = 16;
+
+        template <class V>
+        void
+        fields(V &v, int samples_needed, int hw_clusters)
+        {
+            v.boolean(valid);
+            v.u64(tag);
+            v.i64(samples, 0, samples_needed);
+            v.i64(distantSum);
+            v.boolean(decided);
+            v.i64(advice, 1, hw_clusters);
+        }
     };
 
     TableEntry &entryFor(Addr pc);
     bool isReconfigPoint(const CommitEvent &ev);
 
-    // simlint-ignore(S005): constructor identity, rebuilt by the factory
+    // simlint-ignore(F001): constructor identity, rebuilt by the factory
     FinegrainParams params_;
-    // simlint-ignore(S005): constructor identity, rebuilt by the factory
+    // simlint-ignore(F001): constructor identity, rebuilt by the factory
     int origBig_;   ///< constructor-time bigConfig (pre-clamp)
-    // simlint-ignore(S005): constructor identity, rebuilt by the factory
+    // simlint-ignore(F001): constructor identity, rebuilt by the factory
     int origSmall_; ///< constructor-time smallConfig (pre-clamp)
     std::vector<TableEntry> table_;
     DistantIlpTracker tracker_;

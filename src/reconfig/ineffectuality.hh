@@ -48,7 +48,8 @@ struct IneffectualityParams {
 };
 
 /** The ineffectuality-gating controller. */
-class IneffectualityController : public ReconfigController
+class IneffectualityController
+    : public CheckpointedController<IneffectualityController>
 {
   public:
     explicit IneffectualityController(
@@ -74,16 +75,29 @@ class IneffectualityController : public ReconfigController
     /** Wasted-fetch fraction of the last completed interval. */
     double lastWastedFraction() const { return lastFraction_; }
 
-    void saveState(SnapshotWriter &w) const override;
-    bool loadState(SnapshotReader &r) override;
+    /** Checkpointed state (see core/snapshot_io.hh). */
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v.u64(instsInInterval_);
+        v.u64(mispredictsInInterval_);
+        v.u64(ladderIdx_, params_.configs.size() - 1);
+        v.i64(target_, 1, hwClusters_);
+        v.u64(intervals_);
+        v.u64(gateEvents_);
+        v.u64(ungateEvents_);
+        v.f64(predictedWasted_);
+        v.f64(lastFraction_);
+    }
 
   private:
     void endInterval();
 
-    // simlint-ignore(S005): constructor identity, rebuilt by the factory
+    // simlint-ignore(F001): constructor identity, rebuilt by the factory
     IneffectualityParams params_;
     /** Constructor-time ladder; attach() filters per hardware. */
-    // simlint-ignore(S005): constructor identity, rebuilt by the factory
+    // simlint-ignore(F001): constructor identity, rebuilt by the factory
     std::vector<int> allConfigs_;
 
     // interval accumulation

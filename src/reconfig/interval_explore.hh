@@ -39,7 +39,8 @@ struct IntervalExploreParams {
 };
 
 /** The Figure 4 controller. */
-class IntervalExploreController : public ReconfigController
+class IntervalExploreController
+    : public CheckpointedController<IntervalExploreController>
 {
   public:
     explicit IntervalExploreController(
@@ -72,17 +73,49 @@ class IntervalExploreController : public ReconfigController
     std::uint64_t changesFromMemrefs() const { return chgMem_; }
     std::uint64_t changesFromIpc() const { return chgIpc_; }
 
-    void saveState(SnapshotWriter &w) const override;
-    bool loadState(SnapshotReader &r) override;
+    /** Checkpointed state (see core/snapshot_io.hh). */
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v.u64(intervalLength_);
+        v.u64(instsInInterval_);
+        v.u64(branchesInInterval_);
+        v.u64(memrefsInInterval_);
+        v.u64(intervalStartCycle_);
+        v.boolean(startCycleValid_);
+        v.boolean(haveReference_);
+        v.boolean(stable_);
+        v.boolean(discontinued_);
+        v.f64(numIpcVariations_);
+        v.f64(instability_);
+        v.u64(refBranches_);
+        v.u64(refMemrefs_);
+        v.f64(refIpc_);
+        v.u64(exploreIdx_, allConfigs_.size());
+        v.list(exploreIpc_, allConfigs_.size(), [&](double &d) { v.f64(d); });
+        // std::map iterates in key order: deterministic bytes.
+        v.map(popularity_, hwClusters_, [&](int &cfg, std::uint64_t &n) {
+            v.i64(cfg, 1, hwClusters_);
+            v.u64(n);
+        });
+        v.i64(target_, 1, hwClusters_);
+        v.u64(phaseChanges_);
+        v.u64(explorations_);
+        v.u64(failedExplorations_);
+        v.u64(chgBranch_);
+        v.u64(chgMem_);
+        v.u64(chgIpc_);
+    }
 
   private:
     void endInterval(Cycle now);
     void phaseChange();
 
-    // simlint-ignore(S005): constructor identity, rebuilt by the factory
+    // simlint-ignore(F001): constructor identity, rebuilt by the factory
     IntervalExploreParams params_;
     /** Constructor-time candidate list; attach() filters per hardware. */
-    // simlint-ignore(S005): constructor identity, rebuilt by the factory
+    // simlint-ignore(F001): constructor identity, rebuilt by the factory
     std::vector<int> allConfigs_;
 
     // interval accumulation

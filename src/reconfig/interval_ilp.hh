@@ -38,7 +38,8 @@ struct IntervalIlpParams {
 };
 
 /** The no-exploration interval controller. */
-class IntervalIlpController : public ReconfigController
+class IntervalIlpController
+    : public CheckpointedController<IntervalIlpController>
 {
   public:
     explicit IntervalIlpController(const IntervalIlpParams &params = {});
@@ -61,17 +62,35 @@ class IntervalIlpController : public ReconfigController
     bool measuring() const { return measuring_; }
     std::uint64_t phaseChanges() const { return phaseChanges_; }
 
-    void saveState(SnapshotWriter &w) const override;
-    bool loadState(SnapshotReader &r) override;
+    /** Checkpointed state (see core/snapshot_io.hh). */
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v.u64(instsInInterval_);
+        v.u64(branchesInInterval_);
+        v.u64(memrefsInInterval_);
+        v.u64(distantInInterval_);
+        v.u64(intervalStartCycle_);
+        v.boolean(startCycleValid_);
+        v.boolean(measuring_);
+        v.boolean(haveReference_);
+        v.u64(refBranches_);
+        v.u64(refMemrefs_);
+        v.f64(refIpc_);
+        v.boolean(refIpcValid_);
+        v.i64(target_, 1, hwClusters_);
+        v.u64(phaseChanges_);
+    }
 
   private:
     void endInterval(Cycle now);
 
-    // simlint-ignore(S005): constructor identity, rebuilt by the factory
+    // simlint-ignore(F001): constructor identity, rebuilt by the factory
     IntervalIlpParams params_;
-    // simlint-ignore(S005): constructor identity, rebuilt by the factory
+    // simlint-ignore(F001): constructor identity, rebuilt by the factory
     int origBig_;   ///< constructor-time bigConfig (pre-clamp)
-    // simlint-ignore(S005): constructor identity, rebuilt by the factory
+    // simlint-ignore(F001): constructor identity, rebuilt by the factory
     int origSmall_; ///< constructor-time smallConfig (pre-clamp)
 
     std::uint64_t instsInInterval_ = 0;

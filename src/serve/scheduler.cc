@@ -45,9 +45,11 @@ struct PointScheduler::Task {
     RunPoint point;
 };
 
-/** Shared state of one cold point being computed (or queued). */
+/** Shared state of one point being probed in the cache, queued or
+ *  computed. */
 struct PointScheduler::Inflight {
-    std::uint64_t origin = 0;         ///< job that triggered compute
+    std::uint64_t origin = 0;         ///< job that claimed the point
+    bool probing = false;             ///< origin's start() reads the cache
     bool running = false;             ///< a worker claimed it
     /** (job, point index) pairs to deliver to; the origin job's pair
      *  is first until cancelled. */
@@ -176,70 +178,94 @@ PointScheduler::submit(const SubmitRequest &req, JobEvents events)
 void
 PointScheduler::start(std::uint64_t id)
 {
-    // Phase one (locked): snapshot the job's cache keys.
-    std::vector<std::string> keys;
+    // Phase one (locked): claim every pending point before the cache
+    // is read. A key another job is already probing, queueing or
+    // computing is joined as a waiter; every other key gets an
+    // in-flight entry owned by this job. A point another job finishes
+    // while this one reads the disk is then either on disk already or
+    // still in flight when it is claimed -- concurrent submissions
+    // compute each point once.
+    struct Claim {
+        Task task;
+        std::optional<std::string> payload;
+    };
+    std::vector<Claim> claims;
     {
         MutexLock lock(mutex_);
         auto jit = jobs_.find(id);
         if (jit == jobs_.end())
             return;
-        keys = jit->second->cacheKeys;
-    }
-
-    // Phase two (unlocked): replay every cached point. Each load is a
-    // full payload read plus a sha256 verify, so a warm resubmission
-    // of a large sweep must not hold the scheduler lock while it
-    // touches the disk.
-    std::vector<std::pair<std::size_t, std::string>> replay;
-    for (std::size_t i = 0; i < keys.size(); i++) {
-        if (keys[i].empty())
-            continue;
-        std::optional<std::string> payload = cache_.load(keys[i]);
-        if (payload)
-            replay.emplace_back(i, std::move(*payload));
-    }
-
-    // Phase three (locked): deliver the replays in submission order --
-    // re-checking each point, since the job may have been cancelled
-    // while we read the disk -- then shard what is left.
-    MutexLock lock(mutex_);
-    auto jit = jobs_.find(id);
-    if (jit == jobs_.end())
-        return;
-    Job &job = *jit->second;
-    for (auto &r : replay) {
-        if (job.state[r.first] != Job::Pending)
-            continue;
-        deliverPayload(job, r.first, r.second, PointSource::Cache);
-    }
-    maybeFinishLocked(id);
-    if (jobs_.find(id) == jobs_.end())
-        return; // everything was cached; the job is already done
-
-    // Queue the cold points, one task each, in submission order. A key
-    // another job is already computing (or queueing) is joined as a
-    // waiter instead of recomputed -- concurrent submissions compute
-    // each point once.
-    std::size_t tasks = 0;
-    for (std::size_t idx = 0; idx < job.total(); idx++) {
-        if (job.state[idx] != Job::Pending)
-            continue;
-        const std::string &ikey = job.ikeys[idx];
-        auto it = inflight_.find(ikey);
-        if (it != inflight_.end()) {
-            it->second.waiters.emplace_back(id, idx);
-            continue;
+        Job &job = *jit->second;
+        for (std::size_t idx = 0; idx < job.total(); idx++) {
+            if (job.state[idx] != Job::Pending)
+                continue;
+            const std::string &ikey = job.ikeys[idx];
+            auto it = inflight_.find(ikey);
+            if (it != inflight_.end()) {
+                it->second.waiters.emplace_back(id, idx);
+                continue;
+            }
+            Inflight entry;
+            entry.origin = id;
+            entry.probing = true;
+            entry.waiters.emplace_back(id, idx);
+            inflight_[ikey] = std::move(entry);
+            claims.push_back({Task{ikey, !job.cacheKeys[idx].empty(),
+                                   job.points[idx]},
+                              std::nullopt});
         }
-        Inflight entry;
-        entry.origin = id;
-        entry.waiters.emplace_back(id, idx);
-        inflight_[ikey] = std::move(entry);
-        queue_.push_back(
-            Task{ikey, !job.cacheKeys[idx].empty(), job.points[idx]});
+    }
+
+    // Phase two (unlocked): read every claimed point's cache entry.
+    // Each load is a full payload read plus a sha256 verify, so a warm
+    // resubmission of a large sweep must not hold the scheduler lock
+    // while it touches the disk.
+    for (Claim &c : claims)
+        if (c.task.persist)
+            c.payload = cache_.load(c.task.ikey);
+
+    // Phase three (locked): deliver each hit, in submission order, to
+    // every job waiting on it, then queue the misses, one task each.
+    // A claim whose waiters all cancelled while we read the disk is
+    // gone (or now belongs to a later job) and is skipped.
+    MutexLock lock(mutex_);
+    auto owned = [&](const Claim &c) CSIM_REQUIRES(mutex_) {
+        auto it = inflight_.find(c.task.ikey);
+        return it != inflight_.end() && it->second.probing &&
+                       it->second.origin == id
+                   ? it
+                   : inflight_.end();
+    };
+    for (const Claim &c : claims) {
+        auto it = owned(c);
+        if (!c.payload || it == inflight_.end())
+            continue;
+        std::vector<std::pair<std::uint64_t, std::size_t>> waiters =
+            std::move(it->second.waiters);
+        inflight_.erase(it);
+        for (const auto &w : waiters) {
+            auto jit = jobs_.find(w.first);
+            if (jit == jobs_.end())
+                continue;
+            Job &job = *jit->second;
+            if (job.state[w.second] != Job::Pending)
+                continue;
+            deliverPayload(job, w.second, *c.payload, PointSource::Cache);
+            maybeFinishLocked(w.first);
+        }
+    }
+    std::size_t tasks = 0;
+    for (Claim &c : claims) {
+        auto it = owned(c);
+        if (c.payload || it == inflight_.end())
+            continue;
+        it->second.probing = false;
+        queue_.push_back(std::move(c.task));
         tasks++;
     }
     for (std::size_t i = 0; i < tasks; i++)
         workCv_.notify_one();
+    maybeFinishLocked(id); // a job with no pending points is done now
 }
 
 bool

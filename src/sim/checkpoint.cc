@@ -8,8 +8,8 @@ namespace clustersim {
 std::string
 serializeSnapshot(const Processor::Snapshot &s)
 {
-    SnapshotWriter w;
-    s.save(w);
+    FieldWriter w;
+    w.write(s);
     return w.take();
 }
 
@@ -17,8 +17,9 @@ bool
 deserializeSnapshot(const std::string &payload,
                     Processor::Snapshot &donor)
 {
-    SnapshotReader r(payload);
-    return donor.load(r);
+    FieldReader r(payload);
+    donor.fields(r);
+    return r.atEnd();
 }
 
 WarmupCheckpointStore::WarmupCheckpointStore(std::string dir,

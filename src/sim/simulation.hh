@@ -45,6 +45,35 @@ struct SimResult {
     std::vector<TimeSeriesRow> timeSeries;
     /** Interval length (instructions) of timeSeries; 0 when empty. */
     std::uint64_t timeSeriesInterval = 0;
+
+    /** Every metric under its report key, in report order. */
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v("benchmark", benchmark);
+        v("config", config);
+        v("ipc", ipc);
+        v("instructions", instructions);
+        v("cycles", cycles);
+        v("mispredict_interval", mispredictInterval);
+        v("branch_accuracy", branchAccuracy);
+        v("l1_miss_rate", l1MissRate);
+        v("avg_active_clusters", avgActiveClusters);
+        v("reconfigurations", reconfigurations);
+        v("flush_writebacks", flushWritebacks);
+        v("avg_reg_comm_latency", avgRegCommLatency);
+        v("distant_fraction", distantFraction);
+        v("bank_pred_accuracy", bankPredAccuracy);
+        // Present only when a trace-build run recorded a series:
+        // default builds must keep golden reports byte-identical, and
+        // the golden differ treats a key present on one side as a
+        // mismatch.
+        if (!timeSeries.empty()) {
+            v("time_series_interval", timeSeriesInterval);
+            v("time_series", timeSeries);
+        }
+    }
 };
 
 /** Default run lengths (instructions). */

@@ -343,32 +343,37 @@ runSweep(const std::vector<RunPoint> &points, const SweepOptions &opts)
     return out;
 }
 
+namespace {
+
+/** Writes each SimResult field as one JSON member. */
+struct JsonFields {
+    JsonWriter &w;
+
+    template <class T>
+    void
+    operator()(const char *key, const T &x)
+    {
+        w.field(key, x);
+    }
+
+    void
+    operator()(const char *key, const std::vector<TimeSeriesRow> &rows)
+    {
+        w.key(key);
+        timeSeriesJson(w, rows);
+    }
+};
+
+} // namespace
+
 void
 toJson(JsonWriter &w, const SimResult &r)
 {
     w.beginObject();
-    w.field("benchmark", r.benchmark);
-    w.field("config", r.config);
-    w.field("ipc", r.ipc);
-    w.field("instructions", r.instructions);
-    w.field("cycles", r.cycles);
-    w.field("mispredict_interval", r.mispredictInterval);
-    w.field("branch_accuracy", r.branchAccuracy);
-    w.field("l1_miss_rate", r.l1MissRate);
-    w.field("avg_active_clusters", r.avgActiveClusters);
-    w.field("reconfigurations", r.reconfigurations);
-    w.field("flush_writebacks", r.flushWritebacks);
-    w.field("avg_reg_comm_latency", r.avgRegCommLatency);
-    w.field("distant_fraction", r.distantFraction);
-    w.field("bank_pred_accuracy", r.bankPredAccuracy);
-    // Emitted only when a trace-build run recorded a series: default
-    // builds must keep golden reports byte-identical, and the golden
-    // differ treats a key present on one side as a mismatch.
-    if (!r.timeSeries.empty()) {
-        w.field("time_series_interval", r.timeSeriesInterval);
-        w.key("time_series");
-        timeSeriesJson(w, r.timeSeries);
-    }
+    JsonFields v{w};
+    // fields() takes a mutable object so one list serves every visitor;
+    // this one only reads.
+    const_cast<SimResult &>(r).fields(v);
     w.endObject();
 }
 

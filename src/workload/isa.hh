@@ -104,6 +104,21 @@ struct MicroOp {
     /** Actual next PC on the committed path. */
     Addr nextPc() const { return (isControl() && taken) ? target
                                                         : fallthru(); }
+
+    /** Checkpointed state (see core/snapshot_io.hh). */
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v.u64(pc);
+        v.u8(op, numOpClasses - 1);
+        v.i64(src1, invalidReg, numLogicalRegs - 1);
+        v.i64(src2, invalidReg, numLogicalRegs - 1);
+        v.i64(dest, invalidReg, numLogicalRegs - 1);
+        v.u64(effAddr);
+        v.boolean(taken);
+        v.u64(target);
+    }
 };
 
 /** Human-readable op class name (implemented inline for header-only use).*/

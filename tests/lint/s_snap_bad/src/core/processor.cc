@@ -4,7 +4,5 @@ void
 Processor::restore(const Snapshot &s)
 {
     cycle_ = s.cycle;
-    orphanCounter_ = s.orphanCounter;
-    shadowDepth_ = s.shadowDepth;
     // ghostPending is never applied: restored runs diverge.
 }

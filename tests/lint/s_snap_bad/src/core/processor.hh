@@ -1,23 +1,22 @@
-// Miniature snapshot pipeline for the S004 self-test: three fields
-// each escape a different leg of the checkpoint path and must all be
-// reported; `cycle` is fully covered and must stay silent.
-class SnapshotWriter;
-class SnapshotReader;
-
+// Miniature snapshot pipeline for the S004 self-test: ghostPending is
+// never applied by restore() and must be reported; `cycle` is applied
+// and must stay silent.
 struct Processor {
     struct Snapshot;
     void restore(const Snapshot &s);
     int cycle_ = 0;
     int ghostPending_ = 0;
-    int orphanCounter_ = 0;
-    int shadowDepth_ = 0;
 };
 
 struct Processor::Snapshot {
     int cycle = 0;
-    int ghostPending = 0;  // serialized, but restore() never applies it
-    int orphanCounter = 0; // save() writes it, load() never reads it
-    int shadowDepth = 0;   // applied by restore(), never serialized
-    void save(SnapshotWriter &w) const;
-    bool load(SnapshotReader &r);
+    int ghostPending = 0;  // restore() never applies it
+
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v.u64(cycle);
+        v.u64(ghostPending);
+    }
 };

@@ -8,6 +8,8 @@
  *    bit-identically to the uninterrupted run, across every controller
  *    family and both interconnects -- the property that makes on-disk
  *    checkpoints reusable across processes;
+ *  - the serialized bytes are pinned, and every bound a fields() list
+ *    declares rejects a just-out-of-range value written in its place;
  *  - the store's content addressing is sensitive to exactly the warmup
  *    identity (stream, config, warmup count, controller, salt) and
  *    inert for unkeyed points;
@@ -30,7 +32,10 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <memory>
+#include <set>
+#include <source_location>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -41,8 +46,13 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "common/sha256.hh"
 #include "core/processor.hh"
 #include "core/snapshot_io.hh"
+#include "reconfig/finegrain.hh"
+#include "reconfig/ineffectuality.hh"
+#include "reconfig/interval_explore.hh"
+#include "reconfig/interval_ilp.hh"
 #include "reconfig/oracle.hh"
 #include "reconfig/registry.hh"
 #include "sim/checkpoint.hh"
@@ -179,6 +189,186 @@ corruptAllBlobs(const std::string &dir)
     return corrupted;
 }
 
+/**
+ * A FieldWriter that also notes, at the first visit of each bounded or
+ * shape-checked field of a fields() list, where the field's bytes sit
+ * and a value just outside what FieldReader accepts there. Writing that
+ * value in place must make deserializeSnapshot() fail.
+ */
+class BoundRecorder : public FieldWriter
+{
+  public:
+    using Where = std::source_location;
+
+    struct Patch {
+        std::size_t offset;
+        int width;            ///< bytes, little-endian
+        std::uint64_t value;
+        std::string site;     ///< fields() call site, and which side
+    };
+
+    /** @param base Offset of this writer's first byte in the payload. */
+    explicit BoundRecorder(std::size_t base = 0) : base_(base) {}
+
+    std::vector<Patch> patches;
+
+    template <class T>
+    void
+    u64(T &x)
+    {
+        FieldWriter::u64(x);
+    }
+
+    template <class T>
+    void
+    u64(T &x, std::uint64_t hi, Where w = Where::current())
+    {
+        if (hi != ~std::uint64_t(0))
+            note(w, "", 8, hi + 1);
+        FieldWriter::u64(x, hi);
+    }
+
+    void
+    u32(std::uint32_t &x, std::uint32_t hi = 0xffffffffu,
+        Where w = Where::current())
+    {
+        if (hi != 0xffffffffu)
+            note(w, "", 4, std::uint64_t(hi) + 1);
+        FieldWriter::u32(x, hi);
+    }
+
+    template <class T>
+    void
+    u8(T &x, unsigned hi, Where w = Where::current())
+    {
+        if (hi < 0xff)
+            note(w, "", 1, hi + 1);
+        FieldWriter::u8(x, hi);
+    }
+
+    void i64(std::int64_t &x) { FieldWriter::i64(x); }
+
+    template <class T>
+    void
+    i64(T &x, std::int64_t lo, std::int64_t hi, Where w = Where::current())
+    {
+        note(w, " above", 8, static_cast<std::uint64_t>(hi + 1));
+        note(w, " below", 8, static_cast<std::uint64_t>(lo - 1));
+        FieldWriter::i64(x, lo, hi);
+    }
+
+    void
+    boolean(bool &x, Where w = Where::current())
+    {
+        note(w, "", 1, 2);
+        FieldWriter::boolean(x);
+    }
+
+    template <class T>
+    void
+    expect(const T &x, Where w = Where::current())
+    {
+        if constexpr (std::is_same_v<T, std::string>)
+            note(w, "", 1, static_cast<std::uint8_t>(x[0] ^ 1), 8);
+        else if constexpr (std::is_same_v<T, bool>)
+            note(w, "", 1, x ? 0 : 1);
+        else
+            note(w, "", static_cast<int>(sizeof(T)),
+                 static_cast<std::uint64_t>(x) + 1);
+        FieldWriter::expect(x);
+    }
+
+    template <class C, class Fn>
+    void
+    list(C &c, std::uint64_t max, Fn &&elem, Where w = Where::current())
+    {
+        note(w, "", 8, max + 1);
+        FieldWriter::list(c, max, elem);
+    }
+
+    template <class M, class Fn>
+    void
+    map(M &m, std::uint64_t max, Fn &&entry, Where w = Where::current())
+    {
+        note(w, "", 8, max + 1);
+        FieldWriter::map(m, max, entry);
+    }
+
+    template <class T, class Fn>
+    void
+    optional(std::optional<T> &o, Fn &&elem, Where w = Where::current())
+    {
+        note(w, "", 1, 2);
+        FieldWriter::optional(o, elem);
+    }
+
+  private:
+    void
+    note(const Where &w, const char *side, int width, std::uint64_t value,
+         std::size_t skip = 0)
+    {
+        std::string site = std::string(w.file_name()) + ":" +
+                           std::to_string(w.line()) + side;
+        if (seen_.insert(site).second)
+            patches.push_back({base_ + size() + skip, width, value, site});
+    }
+
+    std::size_t base_;
+    std::set<std::string> seen_;
+};
+
+/** The stateful controllers' fields(), reached past the virtual hook. */
+void
+recordControllerBounds(ReconfigController &c, BoundRecorder &rec)
+{
+    if (auto *x = dynamic_cast<IntervalExploreController *>(&c))
+        x->fields(rec);
+    else if (auto *y = dynamic_cast<IntervalIlpController *>(&c))
+        y->fields(rec);
+    else if (auto *z = dynamic_cast<FinegrainController *>(&c))
+        z->fields(rec);
+    else if (auto *u = dynamic_cast<IneffectualityController *>(&c))
+        u->fields(rec);
+    else if (auto *o = dynamic_cast<OracleController *>(&c))
+        o->fields(rec);
+}
+
+/**
+ * Every bound patch of a snapshot's payload. With a controller, only
+ * the tail from the controller-presence flag on: the core's bounds are
+ * covered by the controller-less machines.
+ */
+std::vector<BoundRecorder::Patch>
+boundPatches(const Processor::Snapshot &s, const std::string &payload)
+{
+    BoundRecorder rec;
+    const_cast<Processor::Snapshot &>(s).fields(rec);
+    EXPECT_EQ(rec.take(), payload);
+    if (!s.controller)
+        return rec.patches;
+    FieldWriter state;
+    s.controller->checkpoint(state);
+    std::size_t base = payload.size() - state.size();
+    BoundRecorder crec(base);
+    recordControllerBounds(*s.controller, crec);
+    std::size_t tail = base - 8 - s.controller->name().size() - 1;
+    std::vector<BoundRecorder::Patch> out;
+    for (const BoundRecorder::Patch &p : rec.patches)
+        if (p.offset >= tail)
+            out.push_back(p);
+    out.insert(out.end(), crec.patches.begin(), crec.patches.end());
+    return out;
+}
+
+std::string
+applyPatch(std::string payload, const BoundRecorder::Patch &p)
+{
+    for (int i = 0; i < p.width; i++)
+        payload[p.offset + static_cast<std::size_t>(i)] =
+            static_cast<char>((p.value >> (8 * i)) & 0xff);
+    return payload;
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------------
@@ -303,6 +493,186 @@ TEST(Checkpoint, MalformedPayloadsRejected)
     // The intact payload still loads (the donor above was untouched by
     // all the failures -- each rejects() used its own).
     EXPECT_FALSE(rejects(payload));
+}
+
+TEST(Checkpoint, SerializedBytesArePinned)
+{
+    // The sha256 of serializeSnapshot() after a fixed short warmup,
+    // for every controller family on the ring and on the decentralized
+    // grid, plus a monolithic machine. The digests were recorded from
+    // the hand-written serializer that the fields() visitors replaced;
+    // they change only with the format, and a format change bumps
+    // snapshotFormatVersion and defaultCheckpointSalt on purpose.
+    using Make = std::function<std::unique_ptr<ReconfigController>()>;
+    const std::pair<const char *, Make> controllers[] = {
+        {"static", nullptr},
+        {"explore", [] { return makeExploreController(); }},
+        {"ilp", [] { return makeIlpController(10000); }},
+        {"finegrain", [] { return makeFinegrainController(); }},
+        {"ineffectuality",
+         [] { return makeController("ineffectuality").make(); }},
+        {"oracle",
+         [] {
+             std::vector<int> sched;
+             for (int i = 0; i < 64; i++)
+                 sched.push_back(2 << (i % 4));
+             return std::make_unique<OracleController>(
+                 1, std::move(sched));
+         }},
+    };
+    struct Machine {
+        const char *name;
+        ProcessorConfig cfg;
+        std::size_t controllers;  // leading entries of `controllers`
+    };
+    const Machine machines[] = {
+        {"ring", clusteredConfig(16, InterconnectKind::Ring), 6},
+        {"grid", clusteredConfig(16, InterconnectKind::Grid, true), 6},
+        {"monolithic", monolithicConfig(16), 1},
+    };
+    const std::map<std::string, std::string> pinned = {
+        {"ring/static",
+         "55ba410b7c03f0a4ac081ee5a4d1d719a962663269f8cb6c6d03e7240979ea27"},
+        {"ring/explore",
+         "8cb2a43ddfa663032d15158b1e15155877eafb22e2d764148e05fabef9b93e0c"},
+        {"ring/ilp",
+         "209ae4c462ea3b805c8e14e4c9d84390e0e0aa989a35fc353af10887264a0678"},
+        {"ring/finegrain",
+         "cca826b4c63cc70ef1d96749f929309dd2a8418397c7280e42df3248394f8147"},
+        {"ring/ineffectuality",
+         "0bbff02b67711f7878ce27f4d11f90480b48088bd74231299e2b4bf0469aad7b"},
+        {"ring/oracle",
+         "ad61bbc83c73ecb7cd130cff576010fd41737ca972f8441e4aa1365c4408eb08"},
+        {"grid/static",
+         "124a19a31eb3545ebbead942119a59471377fe57473c66c4248d5ec38ed8de3c"},
+        {"grid/explore",
+         "441f20e72b3f1da401b076cc0a8ed82a8c520c4e858ec62e4918d1f00aa0e198"},
+        {"grid/ilp",
+         "6478a309b723745652d378ada69c3c30c6635dbf0a53267060d722b7b4e7891a"},
+        {"grid/finegrain",
+         "f12d02d6d72b7f5c394f48de7cb774ef2629876817f4ca96f9a4021e492764f8"},
+        {"grid/ineffectuality",
+         "3632e9c856806eac77f0f805be590f2afc80a5cf0c4d1bf8af92c35c7d88d9ca"},
+        {"grid/oracle",
+         "9ea5fee6a42d045dea3ae28611ce355e3bf062bdd68d379eaa4d7f9da9e194c3"},
+        {"monolithic/static",
+         "be9dd673b3e1c7558ff7be6a8888aea8d02f454d621feec0f2147b83da684073"},
+    };
+
+    WorkloadSpec w = makeBenchmark("gzip");
+    std::size_t checked = 0;
+    for (const Machine &m : machines) {
+        auto buf = makeBuffer(w, m.cfg, kWarmup);
+        for (std::size_t i = 0; i < m.controllers; i++) {
+            const auto &[ctrl_name, make] = controllers[i];
+            std::string name = std::string(m.name) + "/" + ctrl_name;
+            ReplaySource src(buf);
+            std::unique_ptr<ReconfigController> ctrl =
+                make ? make() : nullptr;
+            Processor proc(m.cfg, &src, ctrl.get());
+            proc.run(kWarmup);
+            std::string digest =
+                sha256Hex(serializeSnapshot(proc.snapshot()));
+            auto it = pinned.find(name);
+            if (it == pinned.end()) {
+                ADD_FAILURE() << "no pinned digest for " << name << ": "
+                              << digest;
+                continue;
+            }
+            EXPECT_EQ(digest, it->second) << name;
+            checked++;
+        }
+    }
+    EXPECT_EQ(checked, pinned.size());
+}
+
+TEST(Checkpoint, IndicesAreBoundedByTheDonorShape)
+{
+    // A monolithic machine has one hardware cluster. A payload claiming
+    // any other active or pending cluster count would index past the
+    // restored machine's cluster list, so it must not load.
+    ProcessorConfig cfg = monolithicConfig(16);
+    auto buf = makeBuffer(makeBenchmark("gzip"), cfg, kWarmup);
+    ReplaySource src(buf);
+    Processor proc(cfg, &src, nullptr);
+    proc.run(kWarmup);
+    auto loads = [&](const Processor::Snapshot &s) {
+        Processor::Snapshot donor = proc.snapshot();
+        return deserializeSnapshot(serializeSnapshot(s), donor);
+    };
+
+    EXPECT_TRUE(loads(proc.snapshot()));
+    for (int active : {0, 2}) {
+        Processor::Snapshot s = proc.snapshot();
+        s.activeClusters = active;
+        EXPECT_FALSE(loads(s)) << "activeClusters " << active;
+    }
+    Processor::Snapshot s = proc.snapshot();
+    s.pendingTarget = 2;
+    EXPECT_FALSE(loads(s));
+}
+
+TEST(Checkpoint, EveryDeclaredBoundRejects)
+{
+    // For each bounded or shape-checked field in a fields() list, a
+    // just-out-of-range value written in place of its bytes must fail
+    // the load. The controller-less machines cover the core (the
+    // centralized ring, the decentralized grid and a monolithic
+    // machine); the controller cases cover each controller's state.
+    using Make = std::function<std::unique_ptr<ReconfigController>()>;
+    struct Case {
+        const char *name;
+        ProcessorConfig cfg;
+        Make make;
+    };
+    const ProcessorConfig ring = clusteredConfig(16);
+    const Case cases[] = {
+        {"ring", ring, nullptr},
+        {"grid", clusteredConfig(16, InterconnectKind::Grid, true),
+         nullptr},
+        {"monolithic", monolithicConfig(16), nullptr},
+        {"ring/explore", ring, [] { return makeExploreController(); }},
+        {"ring/ilp", ring, [] { return makeIlpController(10000); }},
+        {"ring/finegrain", ring,
+         [] { return makeFinegrainController(); }},
+        {"ring/ineffectuality", ring,
+         [] { return makeController("ineffectuality").make(); }},
+        {"ring/oracle", ring,
+         [] {
+             return std::make_unique<OracleController>(
+                 1, std::vector<int>(64, 4));
+         }},
+    };
+
+    std::size_t patched = 0;
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        auto buf = makeBuffer(makeBenchmark("gzip"), c.cfg, kWarmup);
+        ReplaySource src(buf);
+        std::unique_ptr<ReconfigController> ctrl = c.make ? c.make()
+                                                          : nullptr;
+        Processor proc(c.cfg, &src, ctrl.get());
+        proc.run(kWarmup);
+        Processor::Snapshot snap = proc.snapshot();
+        std::string payload = serializeSnapshot(snap);
+
+        std::vector<BoundRecorder::Patch> patches =
+            boundPatches(snap, payload);
+        ASSERT_FALSE(patches.empty());
+        for (const BoundRecorder::Patch &p : patches) {
+            ASSERT_LE(p.offset + static_cast<std::size_t>(p.width),
+                      payload.size());
+            Processor::Snapshot donor = proc.snapshot();
+            EXPECT_FALSE(deserializeSnapshot(applyPatch(payload, p), donor))
+                << p.site << " at byte " << p.offset;
+            patched++;
+        }
+        Processor::Snapshot donor = proc.snapshot();
+        EXPECT_TRUE(deserializeSnapshot(payload, donor));
+    }
+    // Each list's first visit is recorded, so this counts fields() call
+    // sites (both sides of a signed range count twice).
+    EXPECT_GE(patched, 100u);
 }
 
 // ---------------------------------------------------------------------------

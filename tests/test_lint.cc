@@ -4,10 +4,9 @@
  *
  * Each tests/lint/bad_*.cc fixture must trip exactly its advertised
  * rule id; the good fixtures and the real source tree must come back
- * clean. The S-rule fixture trees are miniature stats pipelines
- * (processor.hh / simulation.* / sweep.cc / test_properties.cc) that
- * prove a scratch ProcessorStats field cannot escape golden coverage
- * silently.
+ * clean. The S004 fixture trees are miniature snapshot pipelines
+ * (processor.hh / processor.cc) that prove a Snapshot field cannot
+ * escape Processor::restore() silently.
  *
  * The driver shells out to the real binary (SIMLINT_BIN, injected by
  * CMake) so the exit-code contract is tested exactly as CI uses it.
@@ -79,6 +78,7 @@ TEST(SimlintSelfTest, BadFixturesFireTheirRule)
     expectFires("bad_c003.cc", "C003");
     expectFires("bad_c004.cc", "C004");
     expectFires("bad_c005.cc", "C005");
+    expectFires("bad_f001.cc", "F001");
 }
 
 TEST(SimlintSelfTest, ConcurrencyRulesPassOnDisciplinedCode)
@@ -166,32 +166,62 @@ TEST(SimlintSelfTest, SuppressionsAndColdRegionsSilenceFindings)
     EXPECT_TRUE(r.output.empty()) << r.output;
 }
 
+// The statistics and the controllers' checkpointed state are guarded by
+// the per-file field-list rule F001: each type names its members once,
+// in fields(), and every walker (checkpoint, report, comparator) reads
+// that list.
+
 TEST(SimlintSelfTest, StatsRulesCatchEscapedCounters)
 {
-    std::string tree = fixture("s_bad");
-    LintRun r = runSimlint("--quiet --project-root " + tree + " " +
-                           tree + "/src");
+    // A statistic left out of its type's fields() list is reported;
+    // the listed one stays silent.
+    LintRun r = runSimlint("--no-stats --quiet " + fixture("bad_f001.cc"));
     EXPECT_NE(r.exitCode, 0);
-    // The scratch ProcessorStats field escapes the equivalence
-    // comparator (S001) and the per-field reset (S003); the ghost and
-    // orphan SimResult metrics escape the export path (S002).
-    EXPECT_NE(r.output.find("S001"), std::string::npos) << r.output;
-    EXPECT_NE(r.output.find("scratchCounter"), std::string::npos)
+    EXPECT_NE(r.output.find("F001"), std::string::npos) << r.output;
+    EXPECT_NE(r.output.find("Stats::scratchCounter"), std::string::npos)
         << r.output;
-    EXPECT_NE(r.output.find("S002"), std::string::npos) << r.output;
-    EXPECT_NE(r.output.find("orphanMetric"), std::string::npos)
+    EXPECT_EQ(r.output.find("Stats::cycles"), std::string::npos)
         << r.output;
-    EXPECT_NE(r.output.find("ghostMetric"), std::string::npos)
+}
+
+TEST(SimlintSelfTest, ControllerRuleCatchesEscapedState)
+{
+    // A controller member and a member of its nested element type left
+    // out of their fields() lists are reported.
+    LintRun r = runSimlint("--no-stats --quiet " + fixture("bad_f001.cc"));
+    EXPECT_NE(r.exitCode, 0);
+    EXPECT_NE(r.output.find("Probe::ghostTarget_"), std::string::npos)
         << r.output;
-    EXPECT_NE(r.output.find("S003"), std::string::npos) << r.output;
+    EXPECT_NE(r.output.find("Entry::orphan"), std::string::npos)
+        << r.output;
+    // Listed members, the suppressed identity member, the nested type
+    // itself and a class without fields() stay silent: the fixture's
+    // three findings are the statistic and the two above.
+    EXPECT_EQ(std::count(r.output.begin(), r.output.end(), '\n'), 3)
+        << r.output;
+    EXPECT_EQ(r.output.find("committed_"), std::string::npos) << r.output;
+    EXPECT_EQ(r.output.find("params_"), std::string::npos) << r.output;
+    EXPECT_EQ(r.output.find("Unlisted"), std::string::npos) << r.output;
 }
 
 TEST(SimlintSelfTest, StatsRulesPassOnCoveredTree)
 {
-    std::string tree = fixture("s_good");
-    LintRun r = runSimlint("--quiet --project-root " + tree + " " +
-                           tree + "/src");
+    // Every statistic listed by name, also inside a conditional block
+    // and through a nested counter's own list: clean.
+    LintRun r = runSimlint("--no-stats --quiet " +
+                           fixture("good_stats_fields.cc"));
     EXPECT_EQ(r.exitCode, 0) << r.output;
+    EXPECT_TRUE(r.output.empty()) << r.output;
+}
+
+TEST(SimlintSelfTest, ControllerRulePassesOnCoveredTree)
+{
+    // Every member listed or suppressed with a reason; statics, aliases,
+    // nested types and member functions are not data members.
+    LintRun r = runSimlint("--no-stats --quiet " +
+                           fixture("good_fields.cc"));
+    EXPECT_EQ(r.exitCode, 0) << r.output;
+    EXPECT_TRUE(r.output.empty()) << r.output;
 }
 
 TEST(SimlintSelfTest, SnapshotRuleCatchesEscapedFields)
@@ -200,60 +230,20 @@ TEST(SimlintSelfTest, SnapshotRuleCatchesEscapedFields)
     LintRun r = runSimlint("--quiet --project-root " + tree + " " +
                            tree + "/src");
     EXPECT_NE(r.exitCode, 0);
-    // Each fixture field escapes a different leg of the checkpoint
-    // path: ghostPending is never applied by restore(), orphanCounter
-    // is saved but never loaded, shadowDepth is never serialized.
+    // ghostPending is never applied by restore().
     EXPECT_NE(r.output.find("S004"), std::string::npos) << r.output;
     EXPECT_NE(r.output.find("ghostPending"), std::string::npos)
         << r.output;
-    EXPECT_NE(r.output.find("orphanCounter"), std::string::npos)
-        << r.output;
-    EXPECT_NE(r.output.find("shadowDepth"), std::string::npos)
-        << r.output;
-    // The fully covered field stays silent.
+    // The applied field stays silent.
     EXPECT_EQ(r.output.find("Snapshot::cycle"), std::string::npos)
         << r.output;
 }
 
 TEST(SimlintSelfTest, SnapshotRulePassesOnCoveredTree)
 {
-    // Full restore/save/load coverage plus one deliberately transient
-    // field behind a written S004 suppression: clean.
+    // Full restore coverage plus one deliberately transient field
+    // behind written S004 and F001 suppressions: clean.
     std::string tree = fixture("s_snap_good");
-    LintRun r = runSimlint("--quiet --project-root " + tree + " " +
-                           tree + "/src");
-    EXPECT_EQ(r.exitCode, 0) << r.output;
-    EXPECT_TRUE(r.output.empty()) << r.output;
-}
-
-TEST(SimlintSelfTest, ControllerRuleCatchesEscapedState)
-{
-    std::string tree = fixture("s_ctrl_bad");
-    LintRun r = runSimlint("--quiet --project-root " + tree + " " +
-                           tree + "/src");
-    EXPECT_NE(r.exitCode, 0);
-    // Each fixture member escapes one leg of the controller checkpoint
-    // path: ghostTarget_ is never written by saveState(), orphanCount_
-    // is saved but never read back by loadState().
-    EXPECT_NE(r.output.find("S005"), std::string::npos) << r.output;
-    EXPECT_NE(r.output.find("ghostTarget_"), std::string::npos)
-        << r.output;
-    EXPECT_NE(r.output.find("orphanCount_"), std::string::npos)
-        << r.output;
-    // The covered member and the suppressed identity member stay
-    // silent, and the nested type is not mistaken for a data member.
-    EXPECT_EQ(r.output.find("committed_"), std::string::npos)
-        << r.output;
-    EXPECT_EQ(r.output.find("params_"), std::string::npos) << r.output;
-    EXPECT_EQ(r.output.find("TableEntry"), std::string::npos)
-        << r.output;
-}
-
-TEST(SimlintSelfTest, ControllerRulePassesOnCoveredTree)
-{
-    // Full saveState()/loadState() coverage plus one identity member
-    // behind a written S005 suppression: clean.
-    std::string tree = fixture("s_ctrl_good");
     LintRun r = runSimlint("--quiet --project-root " + tree + " " +
                            tree + "/src");
     EXPECT_EQ(r.exitCode, 0) << r.output;

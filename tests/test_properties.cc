@@ -20,7 +20,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <utility>
+#include <vector>
 
 #include "check/fuzz.hh"
 #include "core/processor.hh"
@@ -104,24 +107,34 @@ void
 expectSameStats(const ProcessorStats &a, const ProcessorStats &b,
                 const std::string &what)
 {
-    EXPECT_EQ(a.cycles, b.cycles) << what;
-    EXPECT_EQ(a.committed, b.committed) << what;
-    EXPECT_EQ(a.committedBranches, b.committedBranches) << what;
-    EXPECT_EQ(a.mispredicts, b.mispredicts) << what;
-    EXPECT_EQ(a.loads, b.loads) << what;
-    EXPECT_EQ(a.stores, b.stores) << what;
-    EXPECT_EQ(a.distantIssued, b.distantIssued) << what;
-    EXPECT_EQ(a.regTransfers, b.regTransfers) << what;
-    EXPECT_EQ(a.bankLookups, b.bankLookups) << what;
-    EXPECT_EQ(a.bankMispredicts, b.bankMispredicts) << what;
-    EXPECT_EQ(a.reconfigurations, b.reconfigurations) << what;
-    EXPECT_EQ(a.flushWritebacks, b.flushWritebacks) << what;
-    EXPECT_EQ(a.stallIq, b.stallIq) << what;
-    EXPECT_EQ(a.stallReg, b.stallReg) << what;
-    EXPECT_EQ(a.stallLsq, b.stallLsq) << what;
-    EXPECT_EQ(a.stallRob, b.stallRob) << what;
-    EXPECT_EQ(a.stallEmpty, b.stallEmpty) << what;
-    EXPECT_DOUBLE_EQ(a.activeClusterSum, b.activeClusterSum) << what;
+    // Walk ProcessorStats::fields(), so a new statistic is compared
+    // without touching this function.
+    struct Collect {
+        std::vector<std::pair<const char *, double>> values;
+        std::vector<std::pair<const char *, std::uint64_t>> counts;
+        void
+        operator()(const char *n, double x)
+        {
+            values.push_back({n, x});
+        }
+        void
+        operator()(const char *n, std::uint64_t x)
+        {
+            counts.push_back({n, x});
+        }
+    };
+    Collect ca, cb;
+    ProcessorStats sa = a, sb = b;
+    sa.fields(ca);
+    sb.fields(cb);
+    ASSERT_EQ(ca.counts.size(), cb.counts.size());
+    ASSERT_EQ(ca.values.size(), cb.values.size());
+    for (std::size_t i = 0; i < ca.counts.size(); i++)
+        EXPECT_EQ(ca.counts[i].second, cb.counts[i].second)
+            << what << ": " << ca.counts[i].first;
+    for (std::size_t i = 0; i < ca.values.size(); i++)
+        EXPECT_DOUBLE_EQ(ca.values[i].second, cb.values[i].second)
+            << what << ": " << ca.values[i].first;
 }
 
 } // namespace

@@ -23,9 +23,12 @@
  *   D0xx  determinism   banned sources of run-to-run variation
  *   H0xx  hot path      allocation / growth / string / throw bans in
  *                       files annotated `// simlint: hot-path`
- *   S0xx  stats         cross-checks that every ProcessorStats /
- *                       SimResult field is covered by the equivalence
- *                       comparator, the JSON export, and stats reset
+ *   F0xx  field lists   every data member of a type that defines
+ *                       fields() -- the one list checkpoints, reports
+ *                       and the determinism comparator walk -- is named
+ *                       in it (F001)
+ *   S0xx  snapshot      every Processor::Snapshot member is applied by
+ *                       Processor::restore() (S004)
  *   T0xx  tracing       trace hooks in hot-path files must sit behind
  *                       the CSIM_TRACE compile-time gate
  *   L0xx  lint          malformed simlint directives
@@ -113,25 +116,14 @@ const RuleInfo ruleTable[] = {
     {"H004", "throw/try in hot path",
      "use fatal()/CSIM_ASSERT for fatal conditions; exceptions are "
      "banned on the steady-state path"},
-    {"S001", "stat missing from equivalence comparator",
-     "add the field to expectSameStats() in tests/test_properties.cc "
-     "so determinism checks cover it"},
-    {"S002", "metric missing from export path",
-     "populate the field in src/sim/simulation.cc and write it in "
-     "toJson() in src/sim/sweep.cc so golden runs cover it"},
-    {"S003", "stat missing from reset path",
-     "Processor::resetStats() must reset the whole ProcessorStats "
-     "aggregate or touch every field"},
-    {"S004", "snapshot field missing from restore/serialize path",
+    {"F001", "data member missing from fields()",
+     "name the member in its class's fields() (src/core/snapshot_io.hh "
+     "lists the visitor operations), or carry a reasoned "
+     "simlint-ignore(F001) when it is construction-time identity"},
+    {"S004", "snapshot field missing from restore path",
      "every Processor::Snapshot member must be applied by "
-     "Processor::restore() and serialized by Snapshot::save()/load() "
-     "in src/core/snapshot_io.cc, or warmup checkpoints silently "
-     "drop it"},
-    {"S005", "controller state missing from checkpoint path",
-     "every data member of a controller with saveState()/loadState() "
-     "definitions in src/core/snapshot_io.cc must flow through both, "
-     "or carry a reasoned simlint-ignore(S005) when it is identity "
-     "(factory-rebuilt), not dynamic state"},
+     "Processor::restore(), or restored runs diverge from "
+     "straight-line warmup"},
     {"T001", "ungated trace-sink access in hot path",
      "route the hook through CSIM_TRACE so a default build compiles "
      "it out; raw TraceSink/currentTraceSink use belongs in cold code"},
@@ -538,210 +530,8 @@ receiverOf(const std::vector<Tok> &t, std::size_t callIdent)
 }
 
 // ---------------------------------------------------------------------------
-// Struct field extraction (for the S rules)
+// Method bodies (for S004)
 // ---------------------------------------------------------------------------
-
-struct FieldDef {
-    std::string name;
-    int line;
-};
-
-/**
- * Data members of a struct body whose opening `{` is at braceIdx. A
- * member statement is one with no `(` at struct depth (functions and
- * constructors all carry parens).
- */
-std::vector<FieldDef>
-fieldsInStructBody(const std::vector<Tok> &t, std::size_t braceIdx)
-{
-    std::vector<FieldDef> out;
-    int depth = 0;
-    bool sawParen = false;
-    std::string lastIdent, nameCandidate;
-    int candLine = 0;
-    for (std::size_t j = braceIdx; j < t.size(); j++) {
-        const std::string &s = t[j].text;
-        if (s == "{") {
-            depth++;
-            continue;
-        }
-        if (s == "}") {
-            if (--depth == 0)
-                break;
-            continue;
-        }
-        if (depth != 1)
-            continue;
-        if (s == "(") {
-            sawParen = true;
-        } else if (s == "=" && !sawParen) {
-            nameCandidate = lastIdent;
-            candLine = t[j].line;
-        } else if (s == ";") {
-            if (!sawParen) {
-                if (nameCandidate.empty()) {
-                    nameCandidate = lastIdent;
-                    candLine = t[j].line;
-                }
-                if (!nameCandidate.empty())
-                    out.push_back({nameCandidate, candLine});
-            }
-            sawParen = false;
-            nameCandidate.clear();
-            lastIdent.clear();
-        } else if (t[j].kind == Tok::Ident && nameCandidate.empty()) {
-            lastIdent = t[j].text;
-            candLine = t[j].line;
-        }
-    }
-    return out;
-}
-
-/** Data members of `struct name { ... }` in a lexed file. */
-std::vector<FieldDef>
-structFields(const LexedFile &lx, const std::string &name)
-{
-    const std::vector<Tok> &t = lx.toks;
-    for (std::size_t i = 0; i + 2 < t.size(); i++) {
-        if ((t[i].text == "struct" || t[i].text == "class") &&
-            t[i + 1].text == name && t[i + 2].text == "{")
-            return fieldsInStructBody(t, i + 2);
-    }
-    return {};
-}
-
-/**
- * Data members of a full class body whose opening `{` is at braceIdx,
- * tolerating what real class definitions contain that plain data
- * structs do not: inline method bodies reset the statement parser (so
- * a signature's parens cannot swallow the member that follows the
- * body), and statements opening with a type/alias/static keyword are
- * not data members.
- */
-std::vector<FieldDef>
-classBodyFields(const std::vector<Tok> &t, std::size_t braceIdx)
-{
-    std::vector<FieldDef> out;
-    int depth = 0;
-    bool sawParen = false, skipStmt = false, inStmt = false;
-    std::string lastIdent, nameCandidate, stmtFirst;
-    int candLine = 0;
-    auto resetStmt = [&] {
-        sawParen = false;
-        skipStmt = false;
-        inStmt = false;
-        nameCandidate.clear();
-        lastIdent.clear();
-        stmtFirst.clear();
-    };
-    for (std::size_t j = braceIdx; j < t.size(); j++) {
-        const std::string &s = t[j].text;
-        if (s == "{") {
-            depth++;
-            continue;
-        }
-        if (s == "}") {
-            if (--depth == 0)
-                break;
-            // A group closing back to class depth ends an inline
-            // method body (its signature carried parens); a brace
-            // initializer (no parens yet) stays in the statement.
-            if (depth == 1 && sawParen)
-                resetStmt();
-            continue;
-        }
-        if (depth != 1)
-            continue;
-        if (t[j].kind == Tok::Ident && !inStmt) {
-            inStmt = true;
-            stmtFirst = s;
-            skipStmt = s == "struct" || s == "class" || s == "enum" ||
-                       s == "union" || s == "using" ||
-                       s == "typedef" || s == "static" || s == "friend";
-        }
-        if (s == ":" && !sawParen &&
-            (stmtFirst == "public" || stmtFirst == "private" ||
-             stmtFirst == "protected")) {
-            // An access specifier is not a statement: without this
-            // reset, `private:` would fuse with whatever follows it.
-            resetStmt();
-            continue;
-        }
-        if (s == "(") {
-            sawParen = true;
-        } else if (s == "=" && !sawParen && nameCandidate.empty()) {
-            nameCandidate = lastIdent;
-            candLine = t[j].line;
-        } else if (s == ";") {
-            if (!sawParen && !skipStmt) {
-                if (nameCandidate.empty()) {
-                    nameCandidate = lastIdent;
-                    candLine = t[j].line;
-                }
-                if (!nameCandidate.empty())
-                    out.push_back({nameCandidate, candLine});
-            }
-            resetStmt();
-        } else if (t[j].kind == Tok::Ident && nameCandidate.empty()) {
-            lastIdent = t[j].text;
-            candLine = t[j].line;
-        }
-    }
-    return out;
-}
-
-/**
- * Data members of class/struct `name`, skipping any base-class clause
- * between the name and the body (which the plain struct finder cannot
- * see past). Forward declarations are skipped, not matched.
- */
-std::vector<FieldDef>
-classFields(const LexedFile &lx, const std::string &name)
-{
-    const std::vector<Tok> &t = lx.toks;
-    for (std::size_t i = 0; i + 2 < t.size(); i++) {
-        if (!((t[i].text == "struct" || t[i].text == "class") &&
-              t[i + 1].text == name))
-            continue;
-        std::size_t j = i + 2;
-        while (j < t.size() && t[j].text != "{" && t[j].text != ";")
-            j++;
-        if (j < t.size() && t[j].text == "{")
-            return classBodyFields(t, j);
-    }
-    return {};
-}
-
-/**
- * Data members of an out-of-line nested definition
- * `struct outer::name { ... }` (e.g. `struct Processor::Snapshot`),
- * which the unqualified finder cannot see.
- */
-std::vector<FieldDef>
-qualifiedStructFields(const LexedFile &lx, const std::string &outer,
-                      const std::string &name)
-{
-    const std::vector<Tok> &t = lx.toks;
-    for (std::size_t i = 0; i + 5 < t.size(); i++) {
-        if ((t[i].text == "struct" || t[i].text == "class") &&
-            t[i + 1].text == outer && t[i + 2].text == ":" &&
-            t[i + 3].text == ":" && t[i + 4].text == name &&
-            t[i + 5].text == "{")
-            return fieldsInStructBody(t, i + 5);
-    }
-    return {};
-}
-
-/** All identifier texts in a lexed file. */
-std::set<std::string>
-identSet(const LexedFile &lx)
-{
-    std::set<std::string> out;
-    for (const Tok &t : lx.toks)
-        if (t.kind == Tok::Ident)
-            out.insert(t.text);
-    return out;
-}
 
 /**
  * Tokens of the body of `Class::method(...) { ... }`; empty when not
@@ -945,6 +735,55 @@ memberName(const MemberStmt &m)
     return last;
 }
 
+/** A per-instance data member: not a function, type, alias, friend or
+ *  static. */
+bool
+isDataMember(const MemberStmt &m)
+{
+    if (m.toks.empty() || m.function)
+        return false;
+    for (const char *kw :
+         {"static", "constexpr", "using", "typedef", "friend",
+          "operator", "struct", "class", "enum", "template"})
+        if (stmtHasIdent(m, kw))
+            return false;
+    return true;
+}
+
+/**
+ * Identifiers in the body of the fields() member function defined
+ * inline in the class body opening at braceIdx (F001). False when the
+ * class defines no fields().
+ */
+bool
+fieldsBody(const std::vector<Tok> &t, std::size_t braceIdx,
+           std::set<std::string> &idents)
+{
+    int depth = 1;
+    for (std::size_t j = braceIdx + 1; j < t.size() && depth > 0; j++) {
+        if (t[j].text == "{")
+            depth++;
+        else if (t[j].text == "}")
+            depth--;
+        if (depth != 1 || t[j].text != "fields" || !tokIs(t, j + 1, "("))
+            continue;
+        skipParens(t, j);  // the parameter list
+        while (j < t.size() && t[j].text != "{" && t[j].text != ";")
+            j++;
+        if (j >= t.size() || t[j].text == ";")
+            continue;  // a declaration or a call, not the definition
+        for (int d = 0; j < t.size(); j++) {
+            if (t[j].text == "{")
+                d++;
+            else if (t[j].text == "}" && --d == 0)
+                return true;
+            else if (t[j].kind == Tok::Ident)
+                idents.insert(t[j].text);
+        }
+    }
+    return false;
+}
+
 // ---------------------------------------------------------------------------
 // The linter
 // ---------------------------------------------------------------------------
@@ -974,9 +813,8 @@ class Linter
     void concurrencyPrePass();
     void concurrencyFileRules(FileScan &f);
     void lockOrderRules();
-    void statsRules();
-    void snapshotRules();
-    void controllerRules();
+    void fieldListRules(FileScan &f);
+    void restoreRule();
     void emit(const FileScan &f, int line, const char *rule,
               const std::string &msg);
     void emitRaw(const Diag &d)
@@ -1306,15 +1144,7 @@ Linter::concurrencyFileRules(FileScan &f)
         if (!ownsMutex)
             continue;
         for (const MemberStmt &m : members) {
-            if (m.toks.empty() || m.function || isExempt(m))
-                continue;
-            bool notData = false;
-            for (const char *kw :
-                 {"static", "constexpr", "using", "typedef", "friend",
-                  "operator", "struct", "class", "enum", "template"})
-                if (stmtHasIdent(m, kw))
-                    notData = true;
-            if (notData)
+            if (!isDataMember(m) || isExempt(m))
                 continue;
             if (m.annotations.count("CSIM_GUARDED_BY") ||
                 m.annotations.count("CSIM_PT_GUARDED_BY"))
@@ -1466,126 +1296,38 @@ Linter::lockOrderRules()
             visit(visit, kv.first);
 }
 
+/** F001: every data member of a class that defines fields() is named
+ *  in it, or carries a reasoned suppression. */
 void
-Linter::statsRules()
+Linter::fieldListRules(FileScan &f)
 {
-    const fs::path root = opts_.projectRoot;
-    const fs::path procHh = root / "src/core/processor.hh";
-    const fs::path procCc = root / "src/core/processor.cc";
-    const fs::path simHh = root / "src/sim/simulation.hh";
-    const fs::path simCc = root / "src/sim/simulation.cc";
-    const fs::path sweepCc = root / "src/sim/sweep.cc";
-    const fs::path propCc = root / "tests/test_properties.cc";
-
-    auto readLex = [](const fs::path &p, FileScan &f) {
-        std::ifstream in(p);
-        if (!in)
-            return false;
-        std::stringstream ss;
-        ss << in.rdbuf();
-        f.path = p.string();
-        f.lx = lex(ss.str());
-        parseDirectives(f);
-        return true;
-    };
-
-    FileScan fProcHh, fProcCc, fSimHh, fSimCc, fSweep, fProp;
-    if (!readLex(procHh, fProcHh) || !readLex(procCc, fProcCc) ||
-        !readLex(simHh, fSimHh) || !readLex(simCc, fSimCc) ||
-        !readLex(sweepCc, fSweep) || !readLex(propCc, fProp)) {
-        // Not a full project tree (e.g. linting a subset); S rules
-        // need the whole stats pipeline to cross-check.
-        if (!opts_.quiet)
-            std::fprintf(stderr,
-                         "simlint: note: stats pipeline files not found "
-                         "under '%s'; S rules skipped\n",
-                         root.string().c_str());
-        return;
-    }
-
-    std::vector<FieldDef> psFields =
-        structFields(fProcHh.lx, "ProcessorStats");
-    std::vector<FieldDef> srFields =
-        structFields(fSimHh.lx, "SimResult");
-    if (psFields.empty() || srFields.empty()) {
-        emitRaw({fProcHh.path, 1, "S001",
-                 "could not parse ProcessorStats/SimResult fields; the "
-                 "stats cross-check is blind"});
-        return;
-    }
-
-    // S001: every ProcessorStats field is exhaustively compared by the
-    // determinism property suite.
-    std::set<std::string> propIds = identSet(fProp.lx);
-    for (const FieldDef &fd : psFields) {
-        if (!propIds.count(fd.name)) {
-            if (!suppressed(fProcHh, fd.line, "S001"))
-                emitRaw({fProcHh.path, fd.line, "S001",
-                         "ProcessorStats::" + fd.name + " is not "
-                         "compared in tests/test_properties.cc "
-                         "(expectSameStats); determinism equivalence "
-                         "would silently skip it"});
-        }
-    }
-
-    // S002: every SimResult field is populated by the metric-extraction
-    // path and written by the JSON exporter feeding golden runs.
-    std::set<std::string> simIds = identSet(fSimCc.lx);
-    std::set<std::string> sweepIds = identSet(fSweep.lx);
-    for (const FieldDef &fd : srFields) {
-        if (suppressed(fSimHh, fd.line, "S002"))
+    const std::vector<Tok> &t = f.lx.toks;
+    for (const ClassDef &cd : classBodies(t)) {
+        std::set<std::string> named;
+        if (!fieldsBody(t, cd.braceIdx, named))
             continue;
-        if (!simIds.count(fd.name))
-            emitRaw({fSimHh.path, fd.line, "S002",
-                     "SimResult::" + fd.name + " is never populated in "
-                     "src/sim/simulation.cc; golden runs would record "
-                     "a default value"});
-        else if (!sweepIds.count(fd.name))
-            emitRaw({fSimHh.path, fd.line, "S002",
-                     "SimResult::" + fd.name + " is not written by "
-                     "toJson() in src/sim/sweep.cc; it escapes golden "
-                     "coverage"});
-    }
-
-    // S003: resetStats() must clear every field (wholesale aggregate
-    // reset, or touch each field by name).
-    std::vector<Tok> reset = methodBody(fProcCc.lx, "Processor",
-                                        "resetStats");
-    if (reset.empty()) {
-        emitRaw({fProcCc.path, 1, "S003",
-                 "Processor::resetStats() definition not found"});
-        return;
-    }
-    bool wholesale = false;
-    std::set<std::string> resetIds;
-    for (std::size_t i = 0; i < reset.size(); i++) {
-        if (reset[i].kind == Tok::Ident)
-            resetIds.insert(reset[i].text);
-        if (reset[i].text == "stats_" && i + 2 < reset.size() &&
-            reset[i + 1].text == "=" &&
-            reset[i + 2].text == "ProcessorStats")
-            wholesale = true;
-    }
-    if (!wholesale) {
-        for (const FieldDef &fd : psFields) {
-            if (!resetIds.count(fd.name) &&
-                !suppressed(fProcHh, fd.line, "S003"))
-                emitRaw({fProcCc.path, reset.front().line, "S003",
-                         "ProcessorStats::" + fd.name + " is not reset "
-                         "by Processor::resetStats(); warmup state "
-                         "would leak into measurement"});
+        for (const MemberStmt &m : memberStatements(t, cd.braceIdx)) {
+            std::string name = memberName(m);
+            if (!isDataMember(m) || name.empty() || named.count(name))
+                continue;
+            emit(f, m.toks.front()->line, "F001",
+                 "'" + cd.name + "::" + name + "' is not named in " +
+                     cd.name + "::fields(); checkpoints and reports "
+                     "walking that list would silently drop it -- "
+                     "list it, or suppress with the reason it is "
+                     "construction-time identity");
         }
     }
 }
 
+/** S004: every Processor::Snapshot member is applied by
+ *  Processor::restore(). Serialization needs no such check: it walks
+ *  Snapshot::fields(), which F001 holds complete. */
 void
-Linter::snapshotRules()
+Linter::restoreRule()
 {
     const fs::path root = opts_.projectRoot;
-    const fs::path procHh = root / "src/core/processor.hh";
-    const fs::path procCc = root / "src/core/processor.cc";
-    const fs::path snapCc = root / "src/core/snapshot_io.cc";
-
+    FileScan fProcHh, fProcCc;
     auto readLex = [](const fs::path &p, FileScan &f) {
         std::ifstream in(p);
         if (!in)
@@ -1597,203 +1339,48 @@ Linter::snapshotRules()
         parseDirectives(f);
         return true;
     };
-
-    FileScan fProcHh, fProcCc, fSnapCc;
-    if (!readLex(procHh, fProcHh) || !readLex(procCc, fProcCc) ||
-        !readLex(snapCc, fSnapCc)) {
-        // Not a full project tree; the snapshot cross-check needs the
-        // declaration, the restore path, and the serializer together.
+    if (!readLex(root / "src/core/processor.hh", fProcHh) ||
+        !readLex(root / "src/core/processor.cc", fProcCc)) {
+        // Not a full project tree; the check needs the declaration and
+        // the restore path together.
         if (!opts_.quiet)
             std::fprintf(stderr,
-                         "simlint: note: snapshot pipeline files not "
-                         "found under '%s'; S004 skipped\n",
+                         "simlint: note: snapshot files not found "
+                         "under '%s'; S004 skipped\n",
                          root.string().c_str());
         return;
     }
 
-    std::vector<FieldDef> snapFields =
-        qualifiedStructFields(fProcHh.lx, "Processor", "Snapshot");
-    if (snapFields.empty()) {
-        emitRaw({fProcHh.path, 1, "S004",
-                 "could not parse Processor::Snapshot fields; the "
-                 "snapshot coverage cross-check is blind"});
-        return;
-    }
-
-    // S004: every Snapshot member must flow through all three legs of
-    // the checkpoint path — applied by Processor::restore(), written
-    // by Snapshot::save(), and read back by Snapshot::load(). A member
-    // missing anywhere means warmup checkpoints silently drop state
-    // and restored runs diverge from straight-line warmup.
+    const std::vector<Tok> &t = fProcHh.lx.toks;
+    std::vector<MemberStmt> members;
+    for (std::size_t i = 0; i + 5 < t.size(); i++)
+        if ((t[i].text == "struct" || t[i].text == "class") &&
+            t[i + 1].text == "Processor" && t[i + 2].text == ":" &&
+            t[i + 3].text == ":" && t[i + 4].text == "Snapshot" &&
+            t[i + 5].text == "{")
+            members = memberStatements(t, i + 5);
     std::vector<Tok> restoreBody =
         methodBody(fProcCc.lx, "Processor", "restore");
-    std::vector<Tok> saveBody =
-        methodBody(fSnapCc.lx, "Snapshot", "save");
-    std::vector<Tok> loadBody =
-        methodBody(fSnapCc.lx, "Snapshot", "load");
-    if (restoreBody.empty() || saveBody.empty() || loadBody.empty()) {
-        emitRaw({fSnapCc.path, 1, "S004",
-                 "Processor::restore() / Snapshot::save() / "
-                 "Snapshot::load() definition not found; the snapshot "
-                 "coverage cross-check is blind"});
+    if (members.empty() || restoreBody.empty()) {
+        emitRaw({fProcHh.path, 1, "S004",
+                 "could not parse Processor::Snapshot or "
+                 "Processor::restore(); the restore coverage check is "
+                 "blind"});
         return;
     }
 
-    auto idents = [](const std::vector<Tok> &body) {
-        std::set<std::string> out;
-        for (const Tok &t : body)
-            if (t.kind == Tok::Ident)
-                out.insert(t.text);
-        return out;
-    };
-    std::set<std::string> restoreIds = idents(restoreBody);
-    std::set<std::string> saveIds = idents(saveBody);
-    std::set<std::string> loadIds = idents(loadBody);
-
-    for (const FieldDef &fd : snapFields) {
-        if (suppressed(fProcHh, fd.line, "S004"))
+    std::set<std::string> restoreIds;
+    for (const Tok &tk : restoreBody)
+        if (tk.kind == Tok::Ident)
+            restoreIds.insert(tk.text);
+    for (const MemberStmt &m : members) {
+        std::string name = memberName(m);
+        if (!isDataMember(m) || name.empty() || restoreIds.count(name))
             continue;
-        if (!restoreIds.count(fd.name))
-            emitRaw({fProcHh.path, fd.line, "S004",
-                     "Processor::Snapshot::" + fd.name + " is not "
-                     "applied by Processor::restore(); restored runs "
-                     "would diverge from straight-line warmup"});
-        if (!saveIds.count(fd.name))
-            emitRaw({fProcHh.path, fd.line, "S004",
-                     "Processor::Snapshot::" + fd.name + " is not "
-                     "written by Snapshot::save() in "
-                     "src/core/snapshot_io.cc; serialized checkpoints "
-                     "would silently drop it"});
-        else if (!loadIds.count(fd.name))
-            emitRaw({fProcHh.path, fd.line, "S004",
-                     "Processor::Snapshot::" + fd.name + " is not read "
-                     "back by Snapshot::load() in "
-                     "src/core/snapshot_io.cc; deserialized "
-                     "checkpoints would silently drop it"});
-    }
-}
-
-void
-Linter::controllerRules()
-{
-    const fs::path root = opts_.projectRoot;
-    const fs::path snapCc = root / "src/core/snapshot_io.cc";
-
-    auto readLex = [](const fs::path &p, FileScan &f) {
-        std::ifstream in(p);
-        if (!in)
-            return false;
-        std::stringstream ss;
-        ss << in.rdbuf();
-        f.path = p.string();
-        f.lx = lex(ss.str());
-        parseDirectives(f);
-        return true;
-    };
-
-    FileScan fSnapCc;
-    if (!readLex(snapCc, fSnapCc))
-        return;  // no serializer in this tree; S004 already noted it
-
-    // S005 audits every controller that participates in checkpointing:
-    // a class counts as soon as snapshot_io.cc defines its saveState().
-    // Nothing to audit is not an error -- trees without controller
-    // serialization (the fixture trees) stay silent.
-    const std::vector<Tok> &st = fSnapCc.lx.toks;
-    std::vector<std::string> classes;
-    for (std::size_t i = 0; i + 3 < st.size(); i++) {
-        if (st[i].kind != Tok::Ident || st[i + 1].text != ":" ||
-            st[i + 2].text != ":" || st[i + 3].text != "saveState")
-            continue;
-        const std::string &cls = st[i].text;
-        if (methodBody(fSnapCc.lx, cls, "saveState").empty())
-            continue;  // declaration or call site, not a definition
-        bool seen = false;
-        for (const std::string &c : classes)
-            seen = seen || c == cls;
-        if (!seen)
-            classes.push_back(cls);
-    }
-    if (classes.empty())
-        return;
-
-    // The controllers declare their members in src/reconfig/*.hh; lex
-    // every header once, in sorted order for deterministic diagnostics.
-    std::vector<FileScan> headers;
-    {
-        std::vector<fs::path> paths;
-        std::error_code ec;
-        for (auto it = fs::directory_iterator(root / "src/reconfig", ec);
-             it != fs::directory_iterator(); ++it)
-            if (it->path().extension() == ".hh")
-                paths.push_back(it->path());
-        std::sort(paths.begin(), paths.end());
-        for (const fs::path &p : paths) {
-            FileScan f;
-            if (readLex(p, f))
-                headers.push_back(std::move(f));
-        }
-    }
-
-    for (const std::string &cls : classes) {
-        const FileScan *hdr = nullptr;
-        std::vector<FieldDef> fields;
-        for (const FileScan &f : headers) {
-            fields = classFields(f.lx, cls);
-            if (!fields.empty()) {
-                hdr = &f;
-                break;
-            }
-        }
-        if (!hdr) {
-            emitRaw({fSnapCc.path, 1, "S005",
-                     "could not parse the data members of " + cls +
-                     " in src/reconfig/*.hh; the controller checkpoint "
-                     "coverage cross-check is blind for it"});
-            continue;
-        }
-
-        std::vector<Tok> saveBody =
-            methodBody(fSnapCc.lx, cls, "saveState");
-        std::vector<Tok> loadBody =
-            methodBody(fSnapCc.lx, cls, "loadState");
-        if (loadBody.empty()) {
-            emitRaw({fSnapCc.path, 1, "S005",
-                     cls + "::loadState() definition not found in "
-                     "src/core/snapshot_io.cc; saved controller state "
-                     "could never be restored"});
-            continue;
-        }
-
-        auto idents = [](const std::vector<Tok> &body) {
-            std::set<std::string> out;
-            for (const Tok &t : body)
-                if (t.kind == Tok::Ident)
-                    out.insert(t.text);
-            return out;
-        };
-        std::set<std::string> saveIds = idents(saveBody);
-        std::set<std::string> loadIds = idents(loadBody);
-
-        for (const FieldDef &fd : fields) {
-            if (suppressed(*hdr, fd.line, "S005"))
-                continue;
-            if (!saveIds.count(fd.name))
-                emitRaw({hdr->path, fd.line, "S005",
-                         cls + "::" + fd.name + " is not written by " +
-                         cls + "::saveState() in "
-                         "src/core/snapshot_io.cc; checkpointed "
-                         "controllers would silently drop it (or "
-                         "simlint-ignore(S005) it with a reason if it "
-                         "is configuration-derived identity, not "
-                         "dynamic state)"});
-            else if (!loadIds.count(fd.name))
-                emitRaw({hdr->path, fd.line, "S005",
-                         cls + "::" + fd.name + " is not read back by " +
-                         cls + "::loadState() in "
-                         "src/core/snapshot_io.cc; restored controllers "
-                         "would silently drop it"});
-        }
+        emit(fProcHh, m.toks.front()->line, "S004",
+             "Processor::Snapshot::" + name + " is not applied by "
+             "Processor::restore(); restored runs would diverge from "
+             "straight-line warmup");
     }
 }
 
@@ -1896,13 +1483,11 @@ Linter::run()
     for (FileScan &f : files_) {
         scanFile(f);
         concurrencyFileRules(f);
+        fieldListRules(f);
     }
     lockOrderRules();
-    if (!opts_.noStats && categoryEnabled('S')) {
-        statsRules();
-        snapshotRules();
-        controllerRules();
-    }
+    if (!opts_.noStats && categoryEnabled('S'))
+        restoreRule();
 
     std::sort(diags_.begin(), diags_.end(),
               [](const Diag &a, const Diag &b) {
@@ -1959,15 +1544,16 @@ usage()
         "usage: simlint [options] [path...]\n"
         "  path                 files or directories to scan "
         "(default: <root>/src)\n"
-        "  --project-root DIR   tree containing src/ and tests/ for "
-        "the S rules (default: .)\n"
+        "  --project-root DIR   tree containing src/core/processor.* "
+        "for S004 (default: .)\n"
         "  --rules LIST         run only these comma-separated rule "
         "ids or category\n"
         "                       letters (e.g. C or C001,D); default: "
         "all rules\n"
         "  --fix-list           append a per-rule summary with fix "
         "hints\n"
-        "  --no-stats           skip the S (stats pipeline) rules\n"
+        "  --no-stats           skip S004, the one rule that reads the "
+        "project tree\n"
         "  --lock-graph         print the declared lock-order graph "
         "and exit\n"
         "  --list-rules         print the rule table and exit\n"
@@ -2005,7 +1591,7 @@ main(int argc, char **argv)
                     continue;
                 bool category =
                     item.size() == 1 &&
-                    std::string("CDHSTL").find(item) !=
+                    std::string("CDFHSTL").find(item) !=
                         std::string::npos;
                 if (!category && !findRule(item)) {
                     std::fprintf(stderr,
