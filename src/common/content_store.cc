@@ -178,19 +178,26 @@ ContentStore::load(const std::string &key)
     return payload;
 }
 
-std::optional<std::string>
-ContentStore::loadOrLease(const std::string &key, ComputeLease &lease)
+bool
+ContentStore::loadOrLease(const std::string &key, ComputeLease &lease,
+                          const std::function<bool(const std::string &)> &accept)
 {
+    auto usable = [&](bool &corrupt) {
+        std::optional<std::string> payload = read(key, corrupt);
+        if (payload && !accept(*payload))
+            corrupt = true;
+        return payload && !corrupt;
+    };
     bool corrupt = false;
-    std::optional<std::string> payload = read(key, corrupt);
-    if (!payload) {
+    bool hit = usable(corrupt);
+    if (!hit) {
         lease = beginCompute(key);
         bool again = false;
-        payload = read(key, again);
+        hit = usable(again);
         corrupt = corrupt || again;
     }
-    count(payload.has_value(), corrupt);
-    return payload;
+    count(hit, corrupt);
+    return hit;
 }
 
 void
@@ -206,8 +213,8 @@ ContentStore::store(const std::string &key, const std::string &payload)
     }
     // Unique temp name, then atomic rename: readers only ever see
     // complete files, and concurrent same-key writers are benign (the
-    // payload is content-addressed, so every writer writes the same
-    // bytes).
+    // payload is content-addressed, so every writer of one kind of
+    // payload writes the same bytes).
     std::string tmp = dir_ + "/.tmp-" + std::to_string(getpid()) + "-" +
                       std::to_string(serial);
     std::string path = pathFor(key);

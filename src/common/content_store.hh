@@ -26,6 +26,7 @@
 #define CLUSTERSIM_COMMON_CONTENT_STORE_HH
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <set>
 #include <string>
@@ -71,7 +72,9 @@ class ContentStore
         CSIM_EXCLUDES(mutex_);
 
     /** Persist payload under key (atomic rename; last writer wins --
-     *  every writer of one key writes the same bytes). */
+     *  every writer of one key writes the same bytes, given the same
+     *  kind of payload: a checkpoint's bytes depend on its trace
+     *  source's kind, see sim/checkpoint.hh). */
     void store(const std::string &key, const std::string &payload)
         CSIM_EXCLUDES(mutex_);
 
@@ -118,14 +121,17 @@ class ContentStore
         CSIM_EXCLUDES(inflightMutex_);
 
     /**
-     * load() with in-flight dedup: on a miss, claim key's lease (waiting
-     * out any holder) and look again, since the holder may have stored
-     * meanwhile. On nullopt the caller holds the lease and should
-     * compute and store() before dropping it. Counts one hit or one miss
-     * per call, however many reads it took.
+     * load() with in-flight dedup, where the caller's decode decides
+     * what a hit is. A verified payload goes to accept(); one it
+     * rejects (a stale format, a payload of another kind) counts as
+     * corrupt, like a damaged file. On a miss, claim key's lease
+     * (waiting out any holder) and look again, since the holder may
+     * have stored meanwhile. On false the caller holds the lease and
+     * should compute and store() before dropping it. Counts one hit or
+     * one miss per call, however many reads it took.
      */
-    std::optional<std::string> loadOrLease(const std::string &key,
-                                           ComputeLease &lease)
+    bool loadOrLease(const std::string &key, ComputeLease &lease,
+                     const std::function<bool(const std::string &)> &accept)
         CSIM_EXCLUDES(mutex_, inflightMutex_);
 
     StoreStats stats() const CSIM_EXCLUDES(mutex_);

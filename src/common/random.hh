@@ -51,6 +51,19 @@ class Rng
     /** Fork a decorrelated child generator (for per-stream randomness). */
     Rng fork();
 
+    /**
+     * Checkpointed state (see core/snapshot_io.hh): the position in the
+     * stream. The increment selects the stream, so it must equal the
+     * donor's.
+     */
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v.u64(state_);
+        v.expect(inc_);
+    }
+
   private:
     std::uint64_t state_;
     std::uint64_t inc_;

@@ -81,22 +81,19 @@ class Cluster
         v.i64(fpIqUsed_, 0, params_.fpIssueQueue);
         v.i64(intRegsUsed_, 0, params_.intRegs);
         v.i64(fpRegsUsed_, 0, params_.fpRegs);
-        auto units = [&v](std::vector<SlotReserver> &kind) {
-            v.expect(kind.size());
-            for (SlotReserver &u : kind)
+        for (std::vector<SlotReserver> *kind :
+             {&intAlus_, &intMultDivs_, &fpAlus_, &fpMultDivs_}) {
+            v.expect(kind->size());
+            for (SlotReserver &u : *kind)
                 u.fields(v);
-        };
-        units(intAlus_);
-        units(intMultDivs_);
-        units(fpAlus_);
-        units(fpMultDivs_);
+        }
     }
 
   private:
     SlotReserver &unitFor(OpClass op);
 
     int id_;           // simlint-ignore(F001): identity, from the config
-    ClusterParams params_;
+    ClusterParams params_; // simlint-ignore(F001): sizes, from the config
     FuLatencies lat_;  // simlint-ignore(F001): identity, from the config
 
     int intIqUsed_ = 0;

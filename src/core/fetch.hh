@@ -96,8 +96,8 @@ class FetchUnit
     /**
      * Copy of all mutable fetch state. The cfg/trace/l2 wiring is
      * excluded: a snapshot is only restorable into a FetchUnit built
-     * against an equal ProcessorConfig, and the trace source must be
-     * seek()-able to the processor-recorded position.
+     * against an equal ProcessorConfig, and the processor restores the
+     * trace source to its recorded position (see TraceSource).
      */
     struct Snapshot {
         BranchUnit branch;

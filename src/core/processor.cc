@@ -272,8 +272,9 @@ static_assert(std::is_copy_assignable_v<BranchUnit>);
 Processor::Snapshot
 Processor::snapshot() const
 {
-    CSIM_ASSERT(trace_->seekable(),
-                "snapshot requires a seekable trace source");
+    std::unique_ptr<TraceSource> src = trace_->clone();
+    CSIM_ASSERT(src || trace_->seekable(),
+                "snapshot requires a clonable or seekable trace source");
     std::unique_ptr<ReconfigController> ctrl;
     if (controller_) {
         ctrl = controller_->clone();
@@ -305,6 +306,7 @@ Processor::snapshot() const
                iqEvents_,
                stats_,
                trace_->position(),
+               std::move(src),
                std::move(ctrl)};
     s.clusters.reserve(clusters_.size());
     for (const auto &c : clusters_)
@@ -315,7 +317,7 @@ Processor::snapshot() const
 void
 Processor::restore(const Snapshot &s)
 {
-    CSIM_ASSERT(trace_->seekable(),
+    CSIM_ASSERT(s.source || trace_->seekable(),
                 "restore requires a seekable trace source");
     CSIM_ASSERT(s.clusters.size() == clusters_.size(),
                 "snapshot from a different cluster count");
@@ -348,7 +350,20 @@ Processor::restore(const Snapshot &s)
     lastStepIdle_ = s.lastStepIdle;
     iqEvents_ = s.iqEvents;
     stats_ = s.stats;
-    trace_->seek(s.tracePosition);
+    if (s.source) {
+        // Hand the captured state to the live source through its one
+        // field list; the reader checks it against the live source's
+        // shapes.
+        FieldWriter writer;
+        s.source->checkpoint(writer);
+        const std::string state = writer.take();
+        FieldReader reader(state);
+        trace_->checkpoint(reader);
+        CSIM_ASSERT(reader.atEnd(),
+                    "snapshot's source state does not fit the trace source");
+    } else {
+        trace_->seek(s.tracePosition);
+    }
 
     // Re-instate the controller's captured runtime state. attach() is
     // deliberately NOT called: it would reset the controller, while the

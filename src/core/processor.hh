@@ -39,6 +39,7 @@
 #include "predictor/bank_predictor.hh"
 #include "predictor/criticality.hh"
 #include "reconfig/controller.hh"
+#include "workload/trace_source.hh"
 
 namespace clustersim {
 
@@ -160,8 +161,8 @@ class Processor
     struct Snapshot;
 
     /**
-     * Capture the current dynamic state. Requires a seekable trace
-     * source (the snapshot records its position); the attached
+     * Capture the current dynamic state. The trace source must clone
+     * its state or be seekable (see TraceSource); the attached
      * controller, if any, must be clonable.
      */
     Snapshot snapshot() const;
@@ -169,8 +170,9 @@ class Processor
     /**
      * Restore a snapshot previously taken from a processor with an
      * equal configuration and the same (or an identically generated)
-     * trace stream. The trace source is seek()-ed to the recorded
-     * position; the controller state is re-instated from the
+     * trace stream. A cloned source state is handed back to the live
+     * source; otherwise the source is seek()-ed to the recorded
+     * position. The controller state is re-instated from the
      * snapshot's clone *without* re-attaching (attach() would reset
      * it). A snapshot may be restored any number of times.
      */
@@ -337,6 +339,9 @@ struct Processor::Snapshot {
     ProcessorStats stats;
     /** TraceSource::position() at capture time. */
     std::uint64_t tracePosition = 0;
+    /** Clone of the trace source's state at tracePosition; null for a
+     *  source restored by seek(). */
+    std::unique_ptr<TraceSource> source;
     /** Clone of the attached controller's state; null when detached. */
     std::unique_ptr<ReconfigController> controller;
 
@@ -384,6 +389,14 @@ struct Processor::Snapshot {
         iqEvents.fields(v, [&](IqEvent &ev) { ev.fields(v, hw); });
         stats.fields(v);
         v.u64(tracePosition);
+        // The donor's source kind decides what the payload holds: a
+        // generator's state at tracePosition, or nothing for a source
+        // that restores by seek().
+        v.expect(source != nullptr);
+        if (source) {
+            source->checkpoint(v);
+            v.check(source->position() == tracePosition);
+        }
         // The donor's clone (same factory as the stored one, by key
         // construction) receives the dynamic state; presence and name
         // must agree or the payload is from a different plan.

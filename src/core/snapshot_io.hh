@@ -29,6 +29,13 @@
  * needs to be *safe* on bad input, returning failure instead of reading
  * out of bounds.
  *
+ * Format 2 is the current one. A processor payload ends with two
+ * blocks that the donor's kind decides: the trace source's, then the
+ * controller's. A generator-fed processor's payload carries the
+ * generator's state there (SyntheticWorkload::fields()), so a restore
+ * resumes the stream instead of regenerating it; a replay-fed one
+ * carries only the presence flag. Format 1 had no source block.
+ *
  * Determinism: writing the same Snapshot twice produces identical
  * bytes. Nothing here consults the host (clocks, pointers, locales);
  * iteration orders are the containers' storage orders, and the only
@@ -50,8 +57,9 @@ namespace clustersim {
 /**
  * Version stamp leading every serialized snapshot payload. Bump on any
  * layout change: old blobs then fail to load and are recomputed.
+ * Format 2 added the trace source's block (see above).
  */
-inline constexpr std::uint32_t snapshotFormatVersion = 1;
+inline constexpr std::uint32_t snapshotFormatVersion = 2;
 
 /** Append-only little-endian byte sink. */
 class SnapshotWriter

@@ -243,8 +243,8 @@ class LoadStoreQueue
     Cycle visibleAt(const LsqEntry &store, int cluster) const;
 
     bool distributed_; // simlint-ignore(F001): organization, from the config
-    int numClusters_;
-    int perCluster_;
+    int numClusters_;  // simlint-ignore(F001): organization, from the config
+    int perCluster_;   // simlint-ignore(F001): organization, from the config
 
     /** Move a resolved store's waiters onto the woken list. */
     void wakeWaiters(LsqEntry &e);

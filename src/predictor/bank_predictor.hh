@@ -84,7 +84,7 @@ class BankPredictor
     std::vector<std::uint8_t> bankTable_;
     std::size_t l1Mask_; // simlint-ignore(F001): index mask, from the config
     std::size_t l2Mask_; // simlint-ignore(F001): index mask, from the config
-    int maxBanks_;
+    int maxBanks_;       // simlint-ignore(F001): bank count, from the config
 
     Counter lookups_;
     Counter correct_;

@@ -56,6 +56,7 @@ class TwoLevelPredictor
     std::vector<SatCounter> patternTable_;
     std::size_t l1Mask_; // simlint-ignore(F001): index mask, from the config
     std::size_t l2Mask_; // simlint-ignore(F001): index mask, from the config
+    // simlint-ignore(F001): history width, from the config
     std::uint32_t historyMask_;
 };
 

@@ -12,11 +12,19 @@
  * by the Processor::Snapshot contract, so warm-started reports are
  * byte-identical to cold ones.
  *
+ * A checkpoint holds the core's state and, for a generator-fed
+ * processor, the generator's state at the snapshot's trace position
+ * (the sweep's points are all generator-fed), so a warm start resumes
+ * the stream instead of regenerating the warmup. A payload taken from
+ * a processor fed by a ReplaySource carries no generator state; each
+ * kind loads only into a processor fed by the same kind of source.
+ *
  * Storage, integrity checks, counters and the in-flight compute lease
  * are the shared ContentStore's (common/content_store.hh); entries are
- * `<dir>/<64-hex-sha256>.ckp`. A stale snapshotFormatVersion inside an
- * intact payload fails deserializeSnapshot() and is recomputed too --
- * never a wrong report.
+ * `<dir>/<64-hex-sha256>.ckp`. A payload that passes the store's hash
+ * but fails deserializeSnapshot() -- a stale snapshotFormatVersion,
+ * the other source kind -- counts as a corrupt miss and is recomputed
+ * too: never a wrong report.
  */
 
 #ifndef CLUSTERSIM_SIM_CHECKPOINT_HH
@@ -37,10 +45,11 @@ namespace clustersim {
  * snapshot layout; stale blobs then miss by construction. (The payload
  * additionally self-identifies via snapshotFormatVersion, so either
  * lever alone is sufficient -- the salt invalidates without reading
- * files, the version rejects blobs that slip through.)
+ * files, the version rejects blobs that slip through.) v2 goes with
+ * snapshot format 2, whose payloads carry the generator's state.
  */
 inline constexpr const char *defaultCheckpointSalt =
-    "clustersim-warmup-v1";
+    "clustersim-warmup-v2";
 
 using CheckpointStats = StoreStats;
 

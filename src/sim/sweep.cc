@@ -20,7 +20,7 @@
 #include "sim/oracle_policy.hh"
 #include "sim/plan.hh"
 #include "trace/timeseries.hh"
-#include "workload/replay.hh"
+#include "workload/synthetic.hh"
 
 namespace clustersim {
 
@@ -38,13 +38,13 @@ secondsSince(Clock::time_point t0)
 }
 
 /**
- * Checkpoint-aware variant of runSimulation(): replay-sourced (the
- * snapshot contract needs a seekable trace), restoring the post-warmup
- * state from the store when a valid blob exists and persisting it when
- * not. The replayed stream is the same instruction sequence the
- * synthetic generator feeds runSimulation(), so results stay
- * bit-identical to the cold path. Returns whether the warmup was
- * restored rather than run.
+ * Checkpoint-aware variant of runSimulation(): the same generator-fed
+ * run, restoring the post-warmup state -- the core's and the
+ * generator's -- from the store when a payload decodes, and storing it
+ * when not. A warm start therefore generates only what its measure
+ * window fetches. Restore is exact, so results stay bit-identical to
+ * the cold path. Returns whether the warmup was restored rather than
+ * run.
  */
 bool
 runCheckpointed(WarmupCheckpointStore &store, const std::string &key,
@@ -60,29 +60,29 @@ runCheckpointed(WarmupCheckpointStore &store, const std::string &key,
         own_scope.emplace(*own_checker);
     }
 
-    auto buffer = std::make_shared<const ReplayBuffer>(
-        workload, warmup + measure + replayMargin(cfg));
-    ReplaySource src(buffer);
-    Processor proc(cfg, &src, controller);
+    SyntheticWorkload trace(workload);
+    Processor proc(cfg, &trace, controller);
 
-    // On a miss the lease is held until the warmup is stored, so a
+    // A payload is a hit only once it decodes against this processor;
+    // one that does not (a stale format, another source kind) is a
+    // miss like a corrupt file, and nothing is restored from it. On a
+    // miss the lease is held until the warmup is stored, so a
     // concurrent point with the same key restores it instead of
-    // recomputing. A payload that fails to deserialize (stale snapshot
-    // format) is recomputed and overwritten.
+    // recomputing.
     WarmupCheckpointStore::ComputeLease lease;
-    std::optional<std::string> payload = store.loadOrLease(key, lease);
-    bool restored = false;
-    if (payload) {
-        Processor::Snapshot donor = proc.snapshot();
-        if (deserializeSnapshot(*payload, donor)) {
+    bool restored = store.loadOrLease(
+        key, lease, [&](const std::string &payload) {
+            Processor::Snapshot donor = proc.snapshot();
+            if (!deserializeSnapshot(payload, donor))
+                return false;
             proc.restore(donor);
-            restored = true;
-        }
-    }
+            return true;
+        });
     if (!restored) {
         proc.run(warmup);
         store.store(key, serializeSnapshot(proc.snapshot()));
     }
+    lease = {};
     proc.resetStats();
 
     res = measureWindow(proc, measure);
@@ -296,11 +296,9 @@ runSweep(const std::vector<RunPoint> &points, const SweepOptions &opts)
                 ctrl = p.makeController();
 
             // Points with a declared warmup identity route through the
-            // replay-based checkpoint path; everything else (store
-            // disabled, opaque controller, warmup == 0) runs the
-            // classic synthetic-source path. Both produce identical
-            // bytes -- replay feeds the same instruction stream the
-            // generator would.
+            // checkpoint path; everything else (store disabled, opaque
+            // controller, warmup == 0) runs runSimulation(). Both feed
+            // the core from the generator and produce identical bytes.
             std::string ckpt_key;
             if (opts.checkpoints && opts.checkpoints->enabled())
                 ckpt_key = opts.checkpoints->keyFor(p, w.seed);

@@ -125,10 +125,11 @@ std::uint64_t sweepSeed(std::uint64_t base, const std::string &benchmark,
  * Execute all points on a worker pool and return results in submission
  * order. Bit-identical output for any thread count. This is the one
  * way a point runs: tools/sweep calls it per sweep, the sweep server
- * once per point. A point with a checkpoint key replays its stream and
- * restores its warmup from opts.checkpoints (or warms up and stores
- * it); any other point is fed inline by the synthetic generator. Both
- * paths see the same instruction stream, so reports match either way.
+ * once per point. Every point is fed inline by the synthetic
+ * generator. A point with a checkpoint key restores its warmup -- the
+ * core's state and the generator's -- from opts.checkpoints (or warms
+ * up and stores it), so a warm start generates only its measure
+ * window. Restore is exact, so reports match either way.
  *
  * A point whose controllerKey is an oracle key (sim/oracle_policy.hh)
  * runs after every other point. Its controller is built from the key,

@@ -57,12 +57,29 @@ class AddressStream
     int streamCount() const { return static_cast<int>(cursors_.size()); }
     const AddressStreamParams &params() const { return params_; }
 
+    /**
+     * Checkpointed state: the stream cursors, the chase walk and the
+     * random-access generator. Every cursor value is safe (addresses
+     * wrap within their span); the stream count must be the donor's.
+     */
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v.expect(cursors_.size());
+        for (std::uint64_t &c : cursors_)
+            v.u64(c);
+        v.u64(chaseState_);
+        rng_.fields(v);
+    }
+
   private:
+    // simlint-ignore(F001): built from the phase spec
     AddressStreamParams params_;
-    Addr base_;
-    std::uint64_t footprintBytes_;
-    std::uint64_t hotBytes_;
-    std::uint64_t streamSpan_;
+    Addr base_;                     // simlint-ignore(F001): from the spec
+    std::uint64_t footprintBytes_;  // simlint-ignore(F001): from the spec
+    std::uint64_t hotBytes_;        // simlint-ignore(F001): from the spec
+    std::uint64_t streamSpan_;      // simlint-ignore(F001): from the spec
     std::vector<std::uint64_t> cursors_;
     std::uint64_t chaseState_;
     Rng rng_;

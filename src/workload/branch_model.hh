@@ -34,11 +34,21 @@ class BranchModel
 
     BranchClass cls() const { return cls_; }
 
+    /** Checkpointed state: the position in the pattern (always 0 for
+     *  the coin-flip classes). The rest is built from the phase spec. */
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v.i64(pos_, 0, patternLen_ - 1);
+    }
+
   private:
+    // simlint-ignore(F001): built from the phase spec
     BranchClass cls_ = BranchClass::Biased;
-    double takenProb_ = 0.9;
-    std::uint32_t pattern_ = 0;
-    int patternLen_ = 1;
+    double takenProb_ = 0.9;    // simlint-ignore(F001): from the spec
+    std::uint32_t pattern_ = 0; // simlint-ignore(F001): from the spec
+    int patternLen_ = 1;        // simlint-ignore(F001): from the spec
     int pos_ = 0;
 };
 

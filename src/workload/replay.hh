@@ -6,14 +6,22 @@
  *
  * A SyntheticWorkload regenerates every MicroOp on demand (RNG draws,
  * branch models, address streams). When several simulations consume the
- * *same* stream — repeated timing runs, sweep points sharing a workload
- * seed, checkpoint/restore experiments — that work can be done once: a
+ * *same* stream — repeated timing runs from one snapshot, a stream
+ * timed apart from the core — that work can be done once: a
  * ReplayBuffer materializes the first N instructions of a WorkloadSpec
  * into a flat, immutable vector, and each consumer reads it through its
  * own lightweight ReplaySource cursor. Replay is bit-identical to
  * generation by construction (the buffer *is* the generator's output),
- * and ReplaySource::seek() is O(1), which makes post-warmup snapshot
- * restores cheap (see docs/PERF.md, "Warmup checkpoints").
+ * and ReplaySource::seek() is O(1), so a replay-fed processor restores
+ * a snapshot by position.
+ *
+ * The run path no longer restores through replay: runSweep() feeds
+ * every point from the generator, and a warm start resumes the
+ * generator from the checkpoint (see docs/PERF.md, "Warmup
+ * checkpoints"). ReplayBuffer and ReplaySource remain for e2ebench's
+ * traced passes, which time stream generation as its own span,
+ * `perfbench --batched`, which restores one snapshot many times, and
+ * the tests.
  */
 
 #ifndef CLUSTERSIM_WORKLOAD_REPLAY_HH

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.hh"
+#include "core/snapshot_io.hh"
 
 namespace clustersim {
 
@@ -20,7 +21,6 @@ namespace {
 constexpr RegIndex maxIntChains = 24;
 constexpr RegIndex maxFpChains = 24;
 constexpr RegIndex streamBaseReg = 24;
-constexpr int numStreamRegs = 6;
 constexpr RegIndex chaseReg = 30;
 constexpr RegIndex globalIntReg = 31;
 constexpr RegIndex fpChainBase = 32;
@@ -28,7 +28,6 @@ constexpr RegIndex fpLongLivedBase = 56;
 constexpr int numFpLongLived = 7;
 
 constexpr int bytesPerInst = 4;
-constexpr int refreshPeriod = 64;
 
 } // namespace
 
@@ -65,20 +64,15 @@ SyntheticWorkload::buildPhase(int idx, Addr code_base, Addr data_base)
     Rng build(spec_.seed * 2654435761ULL + static_cast<std::uint64_t>(idx),
               0x51ed);
 
-    PhaseProgram prog;
-    prog.spec = ps;
-    prog.codeBase = code_base;
-    prog.mainBlocks = ps.codeBlocks;
-
     int num_funcs = std::max(0, ps.numFunctions);
     int total_blocks = ps.codeBlocks + num_funcs;
-    prog.blocks.resize(static_cast<std::size_t>(total_blocks));
+    std::vector<StaticBlock> blocks(static_cast<std::size_t>(total_blocks));
 
     // Lay out blocks contiguously so that a not-taken terminator falls
     // through to the next block's first instruction (pc + 4).
     Addr pc = code_base;
     for (int b = 0; b < total_blocks; b++) {
-        auto &blk = prog.blocks[static_cast<std::size_t>(b)];
+        auto &blk = blocks[static_cast<std::size_t>(b)];
         bool is_func = b >= ps.codeBlocks;
         double mean = is_func ? ps.avgBlockLen * 2 : ps.avgBlockLen;
         // Uniform band around the mean: real loop bodies have far less
@@ -108,7 +102,7 @@ SyntheticWorkload::buildPhase(int idx, Addr code_base, Addr data_base)
     double acc_load = 0, acc_store = 0, acc_fp = 0, acc_ll = 0;
     double acc_chase = 0, acc_stream = 0;
     for (int b = 0; b < total_blocks; b++) {
-        auto &blk = prog.blocks[static_cast<std::size_t>(b)];
+        auto &blk = blocks[static_cast<std::size_t>(b)];
         blk.body.resize(static_cast<std::size_t>(blk.len - 1));
         for (auto &slot : blk.body) {
             bool is_load, is_store, long_lat;
@@ -193,7 +187,7 @@ SyntheticWorkload::buildPhase(int idx, Addr code_base, Addr data_base)
     // the classes so every neighbourhood matches the phase average.
     constexpr double golden = 0.6180339887498949;
     for (int b = 0; b < total_blocks; b++) {
-        auto &blk = prog.blocks[static_cast<std::size_t>(b)];
+        auto &blk = blocks[static_cast<std::size_t>(b)];
         double frac;
         if (ps.uniformBlockMix) {
             frac = std::fmod(static_cast<double>(b) * golden, 1.0);
@@ -218,7 +212,7 @@ SyntheticWorkload::buildPhase(int idx, Addr code_base, Addr data_base)
     constexpr double p_local_jump = 0.85;
     constexpr int local_span = 8;
     for (int b = 0; b < ps.codeBlocks; b++) {
-        auto &blk = prog.blocks[static_cast<std::size_t>(b)];
+        auto &blk = blocks[static_cast<std::size_t>(b)];
         blk.fallSucc = (b + 1) % ps.codeBlocks;
         if (build.chance(p_local_jump)) {
             int lo = std::max(0, b - local_span);
@@ -239,7 +233,7 @@ SyntheticWorkload::buildPhase(int idx, Addr code_base, Addr data_base)
 
     // Function blocks: single-block functions terminated by Return.
     for (int f = 0; f < num_funcs; f++) {
-        auto &blk = prog.blocks[static_cast<std::size_t>(ps.codeBlocks + f)];
+        auto &blk = blocks[static_cast<std::size_t>(ps.codeBlocks + f)];
         blk.kind = StaticBlock::Kind::FuncExit;
         blk.takenSucc = 0; // dynamic: popped from the call stack
         blk.fallSucc = 0;
@@ -248,7 +242,7 @@ SyntheticWorkload::buildPhase(int idx, Addr code_base, Addr data_base)
     // Promote some main blocks to call sites.
     if (num_funcs > 0 && ps.fracCallBlocks > 0) {
         for (int b = 0; b + 1 < ps.codeBlocks; b++) {
-            auto &blk = prog.blocks[static_cast<std::size_t>(b)];
+            auto &blk = blocks[static_cast<std::size_t>(b)];
             if (build.chance(ps.fracCallBlocks)) {
                 blk.kind = StaticBlock::Kind::CallSite;
                 blk.callee = ps.codeBlocks + static_cast<int>(
@@ -265,10 +259,8 @@ SyntheticWorkload::buildPhase(int idx, Addr code_base, Addr data_base)
     asp.hotFraction = ps.hotFraction;
     asp.hotRegionKB = ps.hotRegionKB;
     asp.chaseRegionKB = ps.chaseRegionKB;
-    prog.data = std::make_unique<AddressStream>(data_base, asp,
-                                                build.fork());
-
-    programs_.push_back(std::move(prog));
+    programs_.push_back(PhaseProgram{
+        ps, std::move(blocks), AddressStream(data_base, asp, build.fork())});
 }
 
 void
@@ -297,13 +289,22 @@ SyntheticWorkload::reset()
     startNextSegment();
 }
 
-void
-SyntheticWorkload::seek(std::uint64_t pos)
+std::unique_ptr<TraceSource>
+SyntheticWorkload::clone() const
 {
-    if (pos < generated_)
-        reset();
-    while (generated_ < pos)
-        (void)next();
+    return std::make_unique<SyntheticWorkload>(*this);
+}
+
+void
+SyntheticWorkload::checkpoint(FieldWriter &v)
+{
+    fields(v);
+}
+
+void
+SyntheticWorkload::checkpoint(FieldReader &v)
+{
+    fields(v);
 }
 
 void
@@ -323,7 +324,7 @@ SyntheticWorkload::startNextSegment()
         curPhase_ = seg.phase;
         callStack_.clear();
         programs_[static_cast<std::size_t>(curPhase_)]
-            .data->rewindStreams();
+            .data.rewindStreams();
         enterBlock(0);
     }
 }
@@ -401,7 +402,7 @@ SyntheticWorkload::makeBodyOp(Addr pc, const Slot &slot)
         op.op = OpClass::Load;
         op.src1 = chaseReg;
         op.dest = chaseReg;
-        op.effAddr = prog.data->nextChase();
+        op.effAddr = prog.data.nextChase();
         break;
       case SlotKind::LoadStream: {
         op.op = OpClass::Load;
@@ -409,7 +410,7 @@ SyntheticWorkload::makeBodyOp(Addr pc, const Slot &slot)
         op.src1 = slot.addrDep
             ? chain_reg()
             : static_cast<RegIndex>(streamBaseReg + (s % numStreamRegs));
-        op.effAddr = prog.data->nextStream(s %
+        op.effAddr = prog.data.nextStream(s %
             std::max(1, ps.streamCount));
         op.dest = load_dest();
         break;
@@ -417,7 +418,7 @@ SyntheticWorkload::makeBodyOp(Addr pc, const Slot &slot)
       case SlotKind::LoadRandom:
         op.op = OpClass::Load;
         op.src1 = slot.addrDep ? chain_reg() : globalIntReg;
-        op.effAddr = prog.data->nextRandom();
+        op.effAddr = prog.data.nextRandom();
         op.dest = load_dest();
         break;
       case SlotKind::Store: {
@@ -429,11 +430,11 @@ SyntheticWorkload::makeBodyOp(Addr pc, const Slot &slot)
                 ? chain_reg()
                 : static_cast<RegIndex>(streamBaseReg +
                                         (s % numStreamRegs));
-            op.effAddr = prog.data->nextStream(s %
+            op.effAddr = prog.data.nextStream(s %
                 std::max(1, ps.streamCount));
         } else {
             op.src2 = slot.addrDep ? chain_reg() : globalIntReg;
-            op.effAddr = prog.data->nextRandom();
+            op.effAddr = prog.data.nextRandom();
         }
         break;
       }
@@ -486,7 +487,7 @@ SyntheticWorkload::makeTerminator(Addr pc)
     op.pc = pc;
 
     if (blk.kind == StaticBlock::Kind::CallSite && blk.callee >= 0 &&
-        callStack_.size() < 12) {
+        callStack_.size() < maxCallDepth) {
         op.op = OpClass::Call;
         op.taken = true;
         op.target =

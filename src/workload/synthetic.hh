@@ -23,8 +23,11 @@
 #ifndef CLUSTERSIM_WORKLOAD_SYNTHETIC_HH
 #define CLUSTERSIM_WORKLOAD_SYNTHETIC_HH
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.hh"
@@ -66,13 +69,13 @@ class SyntheticWorkload : public TraceSource
     MicroOp next() override;
     void reset() override;
 
-    // Checkpoint support: generation is deterministic, so any position
-    // can be reproduced by resetting and regenerating. Seeking backward
-    // therefore costs a full regeneration up to pos; ReplaySource is
-    // the O(1) alternative when many seeks are expected.
-    bool seekable() const override { return true; }
+    // Checkpoint support: a snapshot carries a clone of the generator,
+    // so a restore resumes generation where the capture stood instead
+    // of regenerating the stream up to it.
     std::uint64_t position() const override { return generated_; }
-    void seek(std::uint64_t pos) override;
+    std::unique_ptr<TraceSource> clone() const override;
+    void checkpoint(FieldWriter &v) override;
+    void checkpoint(FieldReader &v) override;
 
     const WorkloadSpec &spec() const { return spec_; }
 
@@ -83,6 +86,56 @@ class SyntheticWorkload : public TraceSource
 
     /** Total instructions generated since construction/reset. */
     std::uint64_t generated() const { return generated_; }
+
+    /** Instructions left in the current schedule segment; it ends at
+     *  the first block boundary outside a call once this reaches 0. */
+    std::uint64_t segmentLeft() const { return segmentLeft_; }
+
+    /**
+     * The generator's dynamic state (see core/snapshot_io.hh): its
+     * random stream, the walk position, the register cursors, and per
+     * phase the data streams and every static branch's pattern
+     * position. The compiled programs are rebuilt from the spec, so
+     * the donor's shapes bound every index read back.
+     */
+    template <class V>
+    void
+    fields(V &v)
+    {
+        rng_.fields(v);
+        v.u64(generated_);
+
+        v.i64(curSegment_, 0,
+              static_cast<std::int64_t>(spec_.schedule.size()) - 1);
+        v.u64(segmentLeft_);
+        v.i64(curPhase_, 0, static_cast<std::int64_t>(programs_.size()) - 1);
+        v.check(curPhase_ ==
+                spec_.schedule[static_cast<std::size_t>(curSegment_)].phase);
+        const std::vector<StaticBlock> &blocks =
+            programs_[static_cast<std::size_t>(curPhase_)].blocks;
+        const auto last_block = static_cast<std::int64_t>(blocks.size()) - 1;
+        v.i64(curBlock_, 0, last_block);
+        v.i64(pos_, 0, blocks[static_cast<std::size_t>(curBlock_)].len - 1);
+        v.list(callStack_, maxCallDepth, [&](std::pair<Addr, int> &frame) {
+            v.u64(frame.first);
+            v.i64(frame.second, 0, last_block);
+        });
+
+        constexpr std::int64_t anyCursor = std::numeric_limits<int>::max();
+        v.i64(chainCursor_, 0, anyCursor);
+        v.i64(fpChainCursor_, 0, anyCursor);
+        v.i64(streamCursor_, 0, anyCursor);
+        v.i64(refreshCursor_, 0, numStreamRegs - 1);
+        v.i64(sinceRefresh_, 0, refreshPeriod - 1);
+
+        v.expect(programs_.size());
+        for (PhaseProgram &prog : programs_) {
+            prog.data.fields(v);
+            v.expect(prog.blocks.size());
+            for (StaticBlock &blk : prog.blocks)
+                blk.branch.fields(v);
+        }
+    }
 
   private:
     /** Category of one body instruction slot. */
@@ -117,10 +170,15 @@ class SyntheticWorkload : public TraceSource
     struct PhaseProgram {
         PhaseSpec spec;
         std::vector<StaticBlock> blocks;
-        std::unique_ptr<AddressStream> data;
-        Addr codeBase = 0;
-        int mainBlocks = 0;     ///< blocks [0, mainBlocks) are main code
+        AddressStream data;
     };
+
+    /** Deepest call nesting the walk enters. */
+    static constexpr std::size_t maxCallDepth = 12;
+    /** Long-lived stream base registers, refreshed round-robin. */
+    static constexpr int numStreamRegs = 6;
+    /** Body ops between two long-lived register refreshes. */
+    static constexpr int refreshPeriod = 64;
 
     void buildPhase(int idx, Addr code_base, Addr data_base);
     void startNextSegment();
@@ -128,6 +186,7 @@ class SyntheticWorkload : public TraceSource
     MicroOp makeBodyOp(Addr pc, const Slot &slot);
     MicroOp makeTerminator(Addr pc);
 
+    // simlint-ignore(F001): the workload's identity, fixed at construction
     WorkloadSpec spec_;
     std::vector<PhaseProgram> programs_;
 

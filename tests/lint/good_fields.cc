@@ -1,8 +1,9 @@
 // simlint fixture: every data member of each class that defines
-// fields() is listed there or carries a reasoned suppression; no F
-// rule may fire. Static members, nested types, type aliases and
-// member functions are not data members, and a class without fields()
-// is not checked.
+// fields() is visited there or carries a reasoned suppression; no F
+// rule may fire. A member named only in a bound (limit_) is not
+// visited, so it carries one. Static members, nested types, type
+// aliases and member functions are not data members, and a class
+// without fields() is not checked.
 #include <cstdint>
 #include <vector>
 
@@ -38,7 +39,7 @@ class Table
     };
 
     std::size_t mask_; // simlint-ignore(F001): index mask, from the config
-    int limit_ = 3;
+    int limit_ = 3; // simlint-ignore(F001): a bound, from the config
     std::vector<Row> rows_;
     std::uint64_t useClock_ = 0;
     Counter hits_;

@@ -59,6 +59,7 @@
 #include "sim/plan.hh"
 #include "sim/presets.hh"
 #include "sim/sweep.hh"
+#include "workload/benchmarks.hh"
 #include "workload/replay.hh"
 #include "workload/synthetic.hh"
 
@@ -334,9 +335,11 @@ recordControllerBounds(ReconfigController &c, BoundRecorder &rec)
 }
 
 /**
- * Every bound patch of a snapshot's payload. With a controller, only
- * the tail from the controller-presence flag on: the core's bounds are
- * covered by the controller-less machines.
+ * Every bound patch of a snapshot's payload. With a generator state or
+ * a controller, only the tail from the source-presence flag on: the
+ * core's bounds are covered by the replay-fed, controller-less
+ * machines. The tail is the source flag, the generator's state, the
+ * controller flag, then the controller's name and state.
  */
 std::vector<BoundRecorder::Patch>
 boundPatches(const Processor::Snapshot &s, const std::string &payload)
@@ -344,20 +347,44 @@ boundPatches(const Processor::Snapshot &s, const std::string &payload)
     BoundRecorder rec;
     const_cast<Processor::Snapshot &>(s).fields(rec);
     EXPECT_EQ(rec.take(), payload);
-    if (!s.controller)
+    if (!s.source && !s.controller)
         return rec.patches;
-    FieldWriter state;
-    s.controller->checkpoint(state);
-    std::size_t base = payload.size() - state.size();
-    BoundRecorder crec(base);
-    recordControllerBounds(*s.controller, crec);
-    std::size_t tail = base - 8 - s.controller->name().size() - 1;
     std::vector<BoundRecorder::Patch> out;
+    std::size_t tail = payload.size() - 1; // the controller flag
+    if (s.controller) {
+        FieldWriter state;
+        s.controller->checkpoint(state);
+        std::size_t base = payload.size() - state.size();
+        BoundRecorder crec(base);
+        recordControllerBounds(*s.controller, crec);
+        out.insert(out.end(), crec.patches.begin(), crec.patches.end());
+        tail = base - 8 - s.controller->name().size() - 1;
+    }
+    if (s.source) {
+        FieldWriter state;
+        s.source->checkpoint(state);
+        const std::string bytes = state.take();
+        tail -= bytes.size();
+        BoundRecorder grec(tail);
+        dynamic_cast<SyntheticWorkload &>(*s.source).fields(grec);
+        EXPECT_EQ(grec.take(), bytes);
+        out.insert(out.end(), grec.patches.begin(), grec.patches.end());
+    }
+    tail -= 1; // the source flag
     for (const BoundRecorder::Patch &p : rec.patches)
         if (p.offset >= tail)
             out.push_back(p);
-    out.insert(out.end(), crec.patches.begin(), crec.patches.end());
     return out;
+}
+
+/** The next n ops of src, in their serialized form. */
+std::string
+nextOps(TraceSource &src, int n)
+{
+    FieldWriter w;
+    for (int i = 0; i < n; i++)
+        w.write(src.next());
+    return w.take();
 }
 
 std::string
@@ -499,10 +526,14 @@ TEST(Checkpoint, SerializedBytesArePinned)
 {
     // The sha256 of serializeSnapshot() after a fixed short warmup,
     // for every controller family on the ring and on the decentralized
-    // grid, plus a monolithic machine. The digests were recorded from
-    // the hand-written serializer that the fields() visitors replaced;
-    // they change only with the format, and a format change bumps
-    // snapshotFormatVersion and defaultCheckpointSalt on purpose.
+    // grid, plus a monolithic machine, each fed once from a replay
+    // buffer and once from the generator ("/generator": the payload
+    // carries the generator's state). The digests change only with
+    // the format, and a format change bumps snapshotFormatVersion and
+    // defaultCheckpointSalt on purpose. Format 2 added the source
+    // block; a replay-fed format-2 payload with its version word set
+    // back to 1 and its one-byte source block removed is the format-1
+    // payload, byte for byte.
     using Make = std::function<std::unique_ptr<ReconfigController>()>;
     const std::pair<const char *, Make> controllers[] = {
         {"static", nullptr},
@@ -532,31 +563,57 @@ TEST(Checkpoint, SerializedBytesArePinned)
     };
     const std::map<std::string, std::string> pinned = {
         {"ring/static",
-         "55ba410b7c03f0a4ac081ee5a4d1d719a962663269f8cb6c6d03e7240979ea27"},
+         "744f526e40b68837c66c20498ec9a2adc2521873e8c5645169250ddf83e06d4b"},
+        {"ring/static/generator",
+         "7b97c126665f4bf3117261533fb701f0c65d3f82133656a34b06861fa4651293"},
         {"ring/explore",
-         "8cb2a43ddfa663032d15158b1e15155877eafb22e2d764148e05fabef9b93e0c"},
+         "fe9c38e3e3da2aa2b80c3bf408ba22a484e6d713dcff1ae1613d64b1128827a2"},
+        {"ring/explore/generator",
+         "c0a1991352466824f55b5a14655aeb790d6096f9618e90d59ebea04d31e6b1c7"},
         {"ring/ilp",
-         "209ae4c462ea3b805c8e14e4c9d84390e0e0aa989a35fc353af10887264a0678"},
+         "da38ad57ef624d3cd12a2fdc7c3e638bac81ee1d7b6316e58775322ae72d56e2"},
+        {"ring/ilp/generator",
+         "66c233383877313dff94cff4b35c84a009063c9a41aa1ff2b1f5eadb2bae4611"},
         {"ring/finegrain",
-         "cca826b4c63cc70ef1d96749f929309dd2a8418397c7280e42df3248394f8147"},
+         "f72e8002560fb913be5dd152d9ae52b155b06166423f06150d59a22fd871e8c1"},
+        {"ring/finegrain/generator",
+         "ce094b59245d1cf26a1303972fbbecd1f0dfaacd5bf9f7a549c5471a15aa3966"},
         {"ring/ineffectuality",
-         "0bbff02b67711f7878ce27f4d11f90480b48088bd74231299e2b4bf0469aad7b"},
+         "c26b292d9368c1e7e7dffb5471b1a169d56599f43293c8328e3e85f53c2afe9a"},
+        {"ring/ineffectuality/generator",
+         "dce526d0cfa6e17ae9d39b27571b221dee3e8c18732a86f170daff8923623b36"},
         {"ring/oracle",
-         "ad61bbc83c73ecb7cd130cff576010fd41737ca972f8441e4aa1365c4408eb08"},
+         "93fbc51b84814943f5d5175f9303819d8b244c7a04c5223f8652f9db6bc605c0"},
+        {"ring/oracle/generator",
+         "c91d26fddcf402252c5f32c3ec36524641b09806ad928a118327a7121db7bcb4"},
         {"grid/static",
-         "124a19a31eb3545ebbead942119a59471377fe57473c66c4248d5ec38ed8de3c"},
+         "d0f64c7faf5b18f7e2404a61b2fffeb424a56e55abcf9434796925149747fe9b"},
+        {"grid/static/generator",
+         "94deca5710c70a0d64de02d9635bbedb8650a2ae227ed6c04a6c7f0753f06c11"},
         {"grid/explore",
-         "441f20e72b3f1da401b076cc0a8ed82a8c520c4e858ec62e4918d1f00aa0e198"},
+         "0e074cd29b4d4bae109a966da768b4e24175e74ba89d1b53d8b2eb27d33288b0"},
+        {"grid/explore/generator",
+         "9f09b66e55d1c7f20149a393429c2e45bc74e84324f1f9fb2f8d2c7b74202ec6"},
         {"grid/ilp",
-         "6478a309b723745652d378ada69c3c30c6635dbf0a53267060d722b7b4e7891a"},
+         "da1cf21d228f8f2de1c5ce56e73a4cf8d20023de2f6f1b77c9369d4544d3fe23"},
+        {"grid/ilp/generator",
+         "2c51930ad4a882264cf8ccdd023b25ca64beb796a51a6ec3840829f0e3694a20"},
         {"grid/finegrain",
-         "f12d02d6d72b7f5c394f48de7cb774ef2629876817f4ca96f9a4021e492764f8"},
+         "e50d1ca7835e5ecd422279a1c89fd09cde5da7882bbd8a8cc2a63ee3c2709627"},
+        {"grid/finegrain/generator",
+         "957978946a5c554b4b69c129d4d7373da86dbc798d23bad6e350a3f4a20b552a"},
         {"grid/ineffectuality",
-         "3632e9c856806eac77f0f805be590f2afc80a5cf0c4d1bf8af92c35c7d88d9ca"},
+         "1c8e7b280f3c224a60551a3aca2e8e8d9ff0772de51b0cd8e5a7f01b4d0a4a91"},
+        {"grid/ineffectuality/generator",
+         "f1aa778921ffdacef4147f6ed9d14b83347b19ce45fdb35e3ed25213e6a8b251"},
         {"grid/oracle",
-         "9ea5fee6a42d045dea3ae28611ce355e3bf062bdd68d379eaa4d7f9da9e194c3"},
+         "82dc26f8b2d54efa73093803f8788c76e7084b7a8222a2d26877dd720dcf2d79"},
+        {"grid/oracle/generator",
+         "a85c92ce03b5a34481d8c556dc307b1ad884b9e91fb9b2e54a6e0612798fca6b"},
         {"monolithic/static",
-         "be9dd673b3e1c7558ff7be6a8888aea8d02f454d621feec0f2147b83da684073"},
+         "c10e7ab5d298509edb3740ba26439a3e0f26c8da5109aab9c162d0ea9e8a5d3a"},
+        {"monolithic/static/generator",
+         "e4e00f14b30a541cd0456fa012ee71dc5e0ef43ac16a289a285b23006c022519"},
     };
 
     WorkloadSpec w = makeBenchmark("gzip");
@@ -564,23 +621,30 @@ TEST(Checkpoint, SerializedBytesArePinned)
     for (const Machine &m : machines) {
         auto buf = makeBuffer(w, m.cfg, kWarmup);
         for (std::size_t i = 0; i < m.controllers; i++) {
-            const auto &[ctrl_name, make] = controllers[i];
-            std::string name = std::string(m.name) + "/" + ctrl_name;
-            ReplaySource src(buf);
-            std::unique_ptr<ReconfigController> ctrl =
-                make ? make() : nullptr;
-            Processor proc(m.cfg, &src, ctrl.get());
-            proc.run(kWarmup);
-            std::string digest =
-                sha256Hex(serializeSnapshot(proc.snapshot()));
-            auto it = pinned.find(name);
-            if (it == pinned.end()) {
-                ADD_FAILURE() << "no pinned digest for " << name << ": "
-                              << digest;
-                continue;
+            for (bool generator : {false, true}) {
+                const auto &[ctrl_name, make] = controllers[i];
+                std::string name = std::string(m.name) + "/" + ctrl_name +
+                                   (generator ? "/generator" : "");
+                ReplaySource replay(buf);
+                SyntheticWorkload gen(w);
+                TraceSource *src = generator
+                    ? static_cast<TraceSource *>(&gen)
+                    : &replay;
+                std::unique_ptr<ReconfigController> ctrl =
+                    make ? make() : nullptr;
+                Processor proc(m.cfg, src, ctrl.get());
+                proc.run(kWarmup);
+                std::string digest =
+                    sha256Hex(serializeSnapshot(proc.snapshot()));
+                auto it = pinned.find(name);
+                if (it == pinned.end()) {
+                    ADD_FAILURE() << "no pinned digest for " << name
+                                  << ": " << digest;
+                    continue;
+                }
+                EXPECT_EQ(digest, it->second) << name;
+                checked++;
             }
-            EXPECT_EQ(digest, it->second) << name;
-            checked++;
         }
     }
     EXPECT_EQ(checked, pinned.size());
@@ -616,14 +680,16 @@ TEST(Checkpoint, EveryDeclaredBoundRejects)
 {
     // For each bounded or shape-checked field in a fields() list, a
     // just-out-of-range value written in place of its bytes must fail
-    // the load. The controller-less machines cover the core (the
-    // centralized ring, the decentralized grid and a monolithic
-    // machine); the controller cases cover each controller's state.
+    // the load. The replay-fed, controller-less machines cover the core
+    // (the centralized ring, the decentralized grid and a monolithic
+    // machine); the controller cases cover each controller's state, and
+    // the generator-fed cases the generator's.
     using Make = std::function<std::unique_ptr<ReconfigController>()>;
     struct Case {
         const char *name;
         ProcessorConfig cfg;
         Make make;
+        bool generator = false;
     };
     const ProcessorConfig ring = clusteredConfig(16);
     const Case cases[] = {
@@ -642,16 +708,22 @@ TEST(Checkpoint, EveryDeclaredBoundRejects)
              return std::make_unique<OracleController>(
                  1, std::vector<int>(64, 4));
          }},
+        {"ring/generator", ring, nullptr, true},
+        {"ring/explore/generator", ring,
+         [] { return makeExploreController(); }, true},
     };
 
     std::size_t patched = 0;
     for (const Case &c : cases) {
         SCOPED_TRACE(c.name);
         auto buf = makeBuffer(makeBenchmark("gzip"), c.cfg, kWarmup);
-        ReplaySource src(buf);
+        ReplaySource replay(buf);
+        SyntheticWorkload gen(makeBenchmark("gzip"));
+        TraceSource *src = c.generator ? static_cast<TraceSource *>(&gen)
+                                       : &replay;
         std::unique_ptr<ReconfigController> ctrl = c.make ? c.make()
                                                           : nullptr;
-        Processor proc(c.cfg, &src, ctrl.get());
+        Processor proc(c.cfg, src, ctrl.get());
         proc.run(kWarmup);
         Processor::Snapshot snap = proc.snapshot();
         std::string payload = serializeSnapshot(snap);
@@ -673,6 +745,187 @@ TEST(Checkpoint, EveryDeclaredBoundRejects)
     // Each list's first visit is recorded, so this counts fields() call
     // sites (both sides of a signed range count twice).
     EXPECT_GE(patched, 100u);
+}
+
+// ---------------------------------------------------------------------------
+// Generator state
+// ---------------------------------------------------------------------------
+
+TEST(Checkpoint, GeneratorStateResumesTheStream)
+{
+    // A generator's state, saved and loaded into a fresh generator of
+    // the same spec, resumes the stream exactly: at the start, one op
+    // in, inside a call, just after a segment boundary and deep into
+    // the stream, for every benchmark.
+    constexpr std::uint64_t kDeep = 200000;
+    constexpr int kNext = 20000;
+    std::size_t calls = 0;
+    std::size_t boundaries = 0;
+    for (const std::string &name : benchmarkNames()) {
+        SCOPED_TRACE(name);
+        const WorkloadSpec w = makeBenchmark(name);
+
+        std::uint64_t in_call = 0;
+        std::uint64_t after_boundary = 0;
+        {
+            SyntheticWorkload scan(w);
+            std::uint64_t left = scan.segmentLeft();
+            while ((in_call == 0 || after_boundary == 0) &&
+                   scan.generated() < 2000000) {
+                MicroOp op = scan.next();
+                if (in_call == 0 && op.op == OpClass::Call)
+                    in_call = scan.generated();
+                if (after_boundary == 0 && scan.segmentLeft() > left)
+                    after_boundary = scan.generated();
+                left = scan.segmentLeft();
+            }
+        }
+        std::vector<std::uint64_t> positions = {0, 1, kDeep};
+        if (in_call != 0) {
+            positions.push_back(in_call);
+            calls++;
+        }
+        if (after_boundary != 0) {
+            positions.push_back(after_boundary);
+            boundaries++;
+        }
+
+        for (std::uint64_t pos : positions) {
+            SyntheticWorkload straight(w);
+            for (std::uint64_t i = 0; i < pos; i++)
+                straight.next();
+            FieldWriter out;
+            straight.checkpoint(out);
+            const std::string state = out.take();
+
+            SyntheticWorkload resumed(w);
+            FieldReader in(state);
+            resumed.checkpoint(in);
+            ASSERT_TRUE(in.atEnd()) << "position " << pos;
+            EXPECT_EQ(resumed.position(), pos);
+            EXPECT_EQ(nextOps(resumed, kNext), nextOps(straight, kNext))
+                << "position " << pos;
+        }
+    }
+    // Every benchmark crosses a segment boundary; calls are common.
+    EXPECT_EQ(boundaries, benchmarkNames().size());
+    EXPECT_GT(calls, 0u);
+}
+
+TEST(Checkpoint, GeneratorStateFromAnotherSpecFailsToLoad)
+{
+    // The donor generator's shapes and stream identities check a
+    // loaded state: one taken from another benchmark, or from the same
+    // benchmark under another seed, does not load.
+    auto state = [](const WorkloadSpec &w) {
+        SyntheticWorkload gen(w);
+        for (int i = 0; i < 1000; i++)
+            gen.next();
+        FieldWriter out;
+        gen.checkpoint(out);
+        return out.take();
+    };
+    auto loads = [](const WorkloadSpec &w, const std::string &s) {
+        SyntheticWorkload gen(w);
+        FieldReader in(s);
+        gen.checkpoint(in);
+        return in.atEnd();
+    };
+    const std::vector<std::string> &names = benchmarkNames();
+    for (std::size_t i = 0; i < names.size(); i++) {
+        const WorkloadSpec from = makeBenchmark(names[i]);
+        const std::string s = state(from);
+        EXPECT_TRUE(loads(from, s)) << names[i];
+        const std::string &other = names[(i + 1) % names.size()];
+        EXPECT_FALSE(loads(makeBenchmark(other), s))
+            << names[i] << " into " << other;
+        WorkloadSpec reseeded = from;
+        reseeded.seed += 1;
+        EXPECT_FALSE(loads(reseeded, s)) << names[i] << " reseeded";
+    }
+}
+
+TEST(Checkpoint, PayloadOfTheOtherSourceKindRejected)
+{
+    // A generator-fed payload carries the generator's state and a
+    // replay-fed one does not; each loads only into a processor fed by
+    // the same kind of source.
+    const WorkloadSpec w = makeBenchmark("gzip");
+    const ProcessorConfig cfg = clusteredConfig(16);
+    auto buf = makeBuffer(w, cfg, kWarmup);
+    auto payload = [&](TraceSource &src) {
+        Processor proc(cfg, &src, nullptr);
+        proc.run(kWarmup);
+        return serializeSnapshot(proc.snapshot());
+    };
+    auto loads = [&](TraceSource &src, const std::string &p) {
+        Processor fresh(cfg, &src, nullptr);
+        Processor::Snapshot donor = fresh.snapshot();
+        return deserializeSnapshot(p, donor);
+    };
+    ReplaySource replay(buf);
+    SyntheticWorkload gen(w);
+    const std::string replayed = payload(replay);
+    const std::string generated = payload(gen);
+
+    ReplaySource replay_donor(buf);
+    SyntheticWorkload gen_donor(w);
+    EXPECT_TRUE(loads(replay_donor, replayed));
+    EXPECT_FALSE(loads(replay_donor, generated));
+    EXPECT_TRUE(loads(gen_donor, generated));
+    EXPECT_FALSE(loads(gen_donor, replayed));
+}
+
+TEST(Checkpoint, WarmStartGeneratesOnlyTheMeasureWindow)
+{
+    // Restoring a generator-fed processor hands the stored generator
+    // state to the live generator: the restore generates nothing, and
+    // the measure window generates at most what it fetches past the
+    // snapshot's trace position. The restored run matches the
+    // uninterrupted one.
+    class CountingWorkload : public SyntheticWorkload
+    {
+      public:
+        using SyntheticWorkload::SyntheticWorkload;
+
+        MicroOp
+        next() override
+        {
+            calls++;
+            return SyntheticWorkload::next();
+        }
+
+        std::uint64_t calls = 0;
+    };
+    constexpr std::uint64_t kLongWarmup = 50000;
+    const WorkloadSpec w = makeBenchmark("gzip");
+    const ProcessorConfig cfg = clusteredConfig(16);
+
+    std::string payload;
+    SimResult straight;
+    {
+        SyntheticWorkload gen(w);
+        Processor proc(cfg, &gen, nullptr);
+        proc.run(kLongWarmup);
+        payload = serializeSnapshot(proc.snapshot());
+        proc.resetStats();
+        straight = measureWindow(proc, kMeasure);
+    }
+
+    CountingWorkload gen(w);
+    Processor proc(cfg, &gen, nullptr);
+    Processor::Snapshot donor = proc.snapshot();
+    ASSERT_TRUE(deserializeSnapshot(payload, donor));
+    proc.restore(donor);
+    EXPECT_EQ(gen.calls, 0u);
+    EXPECT_EQ(gen.generated(), donor.tracePosition);
+    EXPECT_GE(donor.tracePosition, kLongWarmup);
+
+    proc.resetStats();
+    SimResult restored = measureWindow(proc, kMeasure);
+    EXPECT_EQ(toJson(straight), toJson(restored));
+    EXPECT_EQ(gen.generated() - donor.tracePosition, gen.calls);
+    EXPECT_LE(gen.calls, kMeasure + replayMargin(cfg));
 }
 
 // ---------------------------------------------------------------------------
@@ -897,4 +1150,53 @@ TEST(Checkpoint, CorruptStaleAndSaltedBlobsRecompute)
     EXPECT_EQ(warmCount(resalted), 1u);
     EXPECT_EQ(baseline,
               sweepReportJson("ckpt", points, resalted, false));
+}
+
+TEST(Checkpoint, UndecodablePayloadsAreCorruptMisses)
+{
+    // A payload that passes the store's hash but fails to decode (here
+    // a flipped format version under a valid header) is a corrupt miss,
+    // not a hit: the point recomputes under the key's lease and
+    // overwrites it, and the next run is warm throughout.
+    std::vector<RunPoint> points = makeSweepPreset("smoke", 1000, 2000);
+    const std::uint64_t n = points.size();
+    SweepOptions opts;
+    opts.threads = 2;
+    const std::string baseline = sweepReportJson(
+        "smoke", points, runSweep(points, opts), false);
+
+    TempDir dir;
+    {
+        WarmupCheckpointStore fill(dir.path());
+        opts.checkpoints = &fill;
+        runSweep(points, opts);
+        std::vector<PlannedPoint> plan = planPoints(points, opts.deriveSeeds);
+        for (std::size_t i = 0; i < points.size(); i++) {
+            std::string key = fill.keyFor(points[i], plan[i].seed);
+            std::optional<std::string> good = fill.load(key);
+            ASSERT_TRUE(good.has_value());
+            std::string stale = *good;
+            stale[0] = static_cast<char>(stale[0] ^ 0x01);
+            fill.store(key, stale);
+        }
+    }
+
+    WarmupCheckpointStore rerun(dir.path());
+    opts.checkpoints = &rerun;
+    SweepResult res = runSweep(points, opts);
+    EXPECT_EQ(warmCount(res), 0u);
+    EXPECT_EQ(baseline, sweepReportJson("smoke", points, res, false));
+    CheckpointStats st = rerun.stats();
+    EXPECT_EQ(st.hits, 0u);
+    EXPECT_EQ(st.misses, n);
+    EXPECT_EQ(st.corrupt, n);
+    EXPECT_EQ(st.stores, n);
+
+    WarmupCheckpointStore warm(dir.path());
+    opts.checkpoints = &warm;
+    SweepResult again = runSweep(points, opts);
+    EXPECT_EQ(warmCount(again), n);
+    EXPECT_EQ(baseline, sweepReportJson("smoke", points, again, false));
+    EXPECT_EQ(warm.stats().hits, n);
+    EXPECT_EQ(warm.stats().misses, 0u);
 }

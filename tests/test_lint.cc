@@ -196,12 +196,35 @@ TEST(SimlintSelfTest, ControllerRuleCatchesEscapedState)
         << r.output;
     // Listed members, the suppressed identity member, the nested type
     // itself and a class without fields() stay silent: the fixture's
-    // three findings are the statistic and the two above.
-    EXPECT_EQ(std::count(r.output.begin(), r.output.end(), '\n'), 3)
+    // five findings are the statistic, the two above and the two
+    // members named only in a bound or a check (FieldRuleCountsOnly-
+    // Visits).
+    EXPECT_EQ(std::count(r.output.begin(), r.output.end(), '\n'), 5)
         << r.output;
     EXPECT_EQ(r.output.find("committed_"), std::string::npos) << r.output;
     EXPECT_EQ(r.output.find("params_"), std::string::npos) << r.output;
     EXPECT_EQ(r.output.find("Unlisted"), std::string::npos) << r.output;
+}
+
+TEST(SimlintSelfTest, FieldRuleCountsOnlyVisits)
+{
+    // A member whose own visit was dropped still appears in another
+    // member's bound, or in a check() condition. Neither names it as
+    // listed: only a visit does.
+    LintRun r = runSimlint("--no-stats --quiet " + fixture("bad_f001.cc"));
+    EXPECT_NE(r.exitCode, 0);
+    EXPECT_NE(r.output.find("'Ring::size_'"), std::string::npos)
+        << r.output;
+    EXPECT_NE(r.output.find("'Replay::position_'"), std::string::npos)
+        << r.output;
+    // The visited members stay silent, including a container visited
+    // as the range of a for loop.
+    EXPECT_EQ(r.output.find("Ring::ring_"), std::string::npos) << r.output;
+    EXPECT_EQ(r.output.find("Ring::head_"), std::string::npos) << r.output;
+    EXPECT_EQ(r.output.find("Ring::count_"), std::string::npos)
+        << r.output;
+    EXPECT_EQ(r.output.find("Replay::target_"), std::string::npos)
+        << r.output;
 }
 
 TEST(SimlintSelfTest, StatsRulesPassOnCoveredTree)

@@ -25,8 +25,9 @@
  *                       files annotated `// simlint: hot-path`
  *   F0xx  field lists   every data member of a type that defines
  *                       fields() -- the one list checkpoints, reports
- *                       and the determinism comparator walk -- is named
- *                       in it (F001)
+ *                       and the determinism comparator walk -- is
+ *                       visited by it, not just named in a bound or a
+ *                       check (F001)
  *   S0xx  snapshot      every Processor::Snapshot member is applied by
  *                       Processor::restore() (S004)
  *   T0xx  tracing       trace hooks in hot-path files must sit behind
@@ -750,14 +751,197 @@ isDataMember(const MemberStmt &m)
     return true;
 }
 
+/** Index of the token closing the group opened by t[open] (`(`, `[`
+ *  or `{`), or t.size() when it never closes. */
+std::size_t
+closeOf(const std::vector<Tok> &t, std::size_t open)
+{
+    const std::string &o = t[open].text;
+    const char *c = o == "(" ? ")" : o == "[" ? "]" : "}";
+    int d = 0;
+    for (std::size_t j = open; j < t.size(); j++) {
+        if (t[j].text == o)
+            d++;
+        else if (t[j].text == c && --d == 0)
+            return j;
+    }
+    return t.size();
+}
+
+/** The top-level comma-separated pieces of tokens (a, b), as
+ *  half-open index ranges. */
+std::vector<std::pair<std::size_t, std::size_t>>
+splitArgs(const std::vector<Tok> &t, std::size_t a, std::size_t b)
+{
+    std::vector<std::pair<std::size_t, std::size_t>> out;
+    std::size_t start = a + 1;
+    int d = 0;
+    for (std::size_t j = a + 1; j < b; j++) {
+        const std::string &s = t[j].text;
+        if (s == "(" || s == "[" || s == "{")
+            d++;
+        else if (s == ")" || s == "]" || s == "}")
+            d--;
+        else if (s == "," && d == 0) {
+            out.emplace_back(start, j);
+            start = j + 1;
+        }
+    }
+    if (start < b)
+        out.emplace_back(start, b);
+    return out;
+}
+
+/** The identifier an expression leads with, past unary `&`, `*`, `!`
+ *  and opening parentheses; "" when it leads with anything else. */
+std::string
+leadingIdent(const std::vector<Tok> &t, std::pair<std::size_t, std::size_t> r)
+{
+    for (std::size_t j = r.first; j < r.second; j++) {
+        if (t[j].kind == Tok::Ident)
+            return t[j].text;
+        if (t[j].text != "&" && t[j].text != "*" && t[j].text != "!" &&
+            t[j].text != "(")
+            return "";
+    }
+    return "";
+}
+
+/** Is t[j] the member of a `.name(` or `->name(` call? */
+bool
+isMemberCall(const std::vector<Tok> &t, std::size_t j)
+{
+    return tokIs(t, j + 1, "(") &&
+           (prevIs(t, j, ".") ||
+            (prevIs(t, j, ">") && j >= 2 && t[j - 2].text == "-"));
+}
+
+/** The identifier heading the object expression of the member call at
+ *  t[j] (`a.b[i].fields(` -> a), across `.`/`->` links and subscripts. */
+std::string
+callObject(const std::vector<Tok> &t, std::size_t j)
+{
+    std::string head;
+    std::size_t k = j;
+    for (;;) {
+        if (prevIs(t, k, "."))
+            k -= 1;
+        else if (prevIs(t, k, ">") && k >= 2 && t[k - 2].text == "-")
+            k -= 2;
+        else
+            return head;
+        while (k > 0 && t[k - 1].text == "]") {
+            int d = 0;
+            std::size_t e = k - 1;
+            for (; e > 0; e--) {
+                if (t[e].text == "]")
+                    d++;
+                else if (t[e].text == "[" && --d == 0)
+                    break;
+            }
+            k = e;
+        }
+        if (k == 0 || t[k - 1].kind != Tok::Ident)
+            return head;
+        head = t[--k].text;
+    }
+}
+
+/** The visitor operations that take a member as their first argument
+ *  (core/snapshot_io.hh); check() and the bounds are not visits. */
+const std::set<std::string> visitOps = {
+    "u64", "u32", "u8", "i64", "f64", "boolean",
+    "expect", "list", "map", "optional",
+};
+
 /**
- * Identifiers in the body of the fields() member function defined
- * inline in the class body opening at braceIdx (F001). False when the
- * class defines no fields().
+ * The members visited in tokens (a, b) of a fields() body whose
+ * visitor parameter is `vis`: the leading identifier of a visit
+ * operation's first argument, the value of a named visit `vis(name,
+ * x)`, the object whose fields() or checkpoint() is called, and the
+ * range of a `for` whose body visits. Returns whether anything in the
+ * range visits.
  */
 bool
-fieldsBody(const std::vector<Tok> &t, std::size_t braceIdx,
-           std::set<std::string> &idents)
+collectVisits(const std::vector<Tok> &t, std::size_t a, std::size_t b,
+              const std::string &vis, std::set<std::string> &visited)
+{
+    bool any = false;
+    for (std::size_t j = a + 1; j < b; j++) {
+        const std::string &s = t[j].text;
+        if (s == vis && tokIs(t, j + 1, ".") && j + 3 < b &&
+            visitOps.count(t[j + 2].text) && tokIs(t, j + 3, "(") &&
+            !prevIs(t, j, ".")) {
+            auto args = splitArgs(t, j + 3, closeOf(t, j + 3));
+            if (!args.empty())
+                visited.insert(leadingIdent(t, args[0]));
+            any = true;
+        } else if (s == vis && tokIs(t, j + 1, "(") && !prevIs(t, j, ".")) {
+            auto args = splitArgs(t, j + 1, closeOf(t, j + 1));
+            if (args.size() == 2)
+                visited.insert(leadingIdent(t, args[1]));
+            any = true;
+        } else if ((s == "fields" || s == "checkpoint") &&
+                   isMemberCall(t, j)) {
+            visited.insert(callObject(t, j));
+            any = true;
+        } else if (s == "for" && tokIs(t, j + 1, "(")) {
+            std::size_t close = closeOf(t, j + 1);
+            std::size_t colon = close;
+            int d = 0;
+            for (std::size_t k = j + 2; k < close; k++) {
+                const std::string &c = t[k].text;
+                if (c == "(" || c == "[" || c == "{" || c == "<")
+                    d++;
+                else if (c == ")" || c == "]" || c == "}" || c == ">")
+                    d--;
+                else if (c == ":" && d == 0 && !tokIs(t, k + 1, ":") &&
+                         !prevIs(t, k, ":")) {
+                    colon = k;
+                    break;
+                }
+            }
+            if (colon == close || close >= b)
+                continue;  // a classic for: its parts are scanned as is
+            std::size_t end = close + 1;
+            if (tokIs(t, end, "{")) {
+                end = closeOf(t, end);
+            } else {
+                for (int depth = 0; end < b; end++) {
+                    const std::string &c = t[end].text;
+                    if (c == "(" || c == "[" || c == "{")
+                        depth++;
+                    else if (c == ")" || c == "]" || c == "}")
+                        depth--;
+                    else if (c == ";" && depth == 0)
+                        break;
+                }
+            }
+            if (collectVisits(t, close, end + 1, vis, visited)) {
+                any = true;
+                // `: member` or `: {&a_, &b_}`.
+                std::size_t r0 = colon + 1;
+                if (tokIs(t, r0, "{")) {
+                    for (const auto &e : splitArgs(t, r0, closeOf(t, r0)))
+                        visited.insert(leadingIdent(t, e));
+                } else {
+                    visited.insert(leadingIdent(t, {r0, close}));
+                }
+            }
+            j = end;
+        }
+    }
+    return any;
+}
+
+/**
+ * The members visited by the fields() member function defined inline
+ * in the class body opening at braceIdx (F001; see collectVisits()).
+ * False when the class defines no fields().
+ */
+bool
+fieldsVisits(const std::vector<Tok> &t, std::size_t braceIdx,
+             std::set<std::string> &visited)
 {
     int depth = 1;
     for (std::size_t j = braceIdx + 1; j < t.size() && depth > 0; j++) {
@@ -767,19 +951,21 @@ fieldsBody(const std::vector<Tok> &t, std::size_t braceIdx,
             depth--;
         if (depth != 1 || t[j].text != "fields" || !tokIs(t, j + 1, "("))
             continue;
+        // The visitor is the first parameter's name: `fields(V &v, ...)`.
+        std::size_t params = j + 1;
+        auto args = splitArgs(t, params, closeOf(t, params));
+        std::string vis;
+        if (!args.empty())
+            for (std::size_t k = args[0].first; k < args[0].second; k++)
+                if (t[k].kind == Tok::Ident)
+                    vis = t[k].text;
         skipParens(t, j);  // the parameter list
         while (j < t.size() && t[j].text != "{" && t[j].text != ";")
             j++;
         if (j >= t.size() || t[j].text == ";")
             continue;  // a declaration or a call, not the definition
-        for (int d = 0; j < t.size(); j++) {
-            if (t[j].text == "{")
-                d++;
-            else if (t[j].text == "}" && --d == 0)
-                return true;
-            else if (t[j].kind == Tok::Ident)
-                idents.insert(t[j].text);
-        }
+        collectVisits(t, j, closeOf(t, j), vis, visited);
+        return true;
     }
     return false;
 }
@@ -1296,25 +1482,25 @@ Linter::lockOrderRules()
             visit(visit, kv.first);
 }
 
-/** F001: every data member of a class that defines fields() is named
- *  in it, or carries a reasoned suppression. */
+/** F001: every data member of a class that defines fields() is visited
+ *  by it, or carries a reasoned suppression. */
 void
 Linter::fieldListRules(FileScan &f)
 {
     const std::vector<Tok> &t = f.lx.toks;
     for (const ClassDef &cd : classBodies(t)) {
         std::set<std::string> named;
-        if (!fieldsBody(t, cd.braceIdx, named))
+        if (!fieldsVisits(t, cd.braceIdx, named))
             continue;
         for (const MemberStmt &m : memberStatements(t, cd.braceIdx)) {
             std::string name = memberName(m);
             if (!isDataMember(m) || name.empty() || named.count(name))
                 continue;
             emit(f, m.toks.front()->line, "F001",
-                 "'" + cd.name + "::" + name + "' is not named in " +
+                 "'" + cd.name + "::" + name + "' is not visited by " +
                      cd.name + "::fields(); checkpoints and reports "
                      "walking that list would silently drop it -- "
-                     "list it, or suppress with the reason it is "
+                     "visit it, or suppress with the reason it is "
                      "construction-time identity");
         }
     }
