@@ -110,19 +110,6 @@ class StatSet
     std::map<std::string, std::size_t> index_;
 };
 
-/**
- * Rate with a clamped denominator: count / max(seconds, min_seconds).
- * Guards wall-clock divisions in the benchmarking tools: a very fast
- * run can measure ~0 seconds, and a plain division then yields inf,
- * which the JSON writer spells as null and downstream baseline readers
- * misparse. The clamp turns that into a huge-but-finite rate.
- */
-inline double
-safeRate(double count, double seconds, double min_seconds = 1e-9)
-{
-    return count / (seconds > min_seconds ? seconds : min_seconds);
-}
-
 /** Geometric mean of a vector of positive values (0 on empty input). */
 double geomean(const std::vector<double> &values);
 

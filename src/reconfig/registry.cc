@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstdlib>
 #include <set>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "common/thread_annotations.hh"
 #include "core/params.hh"
 #include "reconfig/finegrain.hh"
@@ -32,42 +32,38 @@ checkKnown(const std::string &policy, const PolicyParams &params,
                     kv.first, "'");
 }
 
-std::uint64_t
-paramU64(const PolicyParams &params, const std::string &key,
-         std::uint64_t def)
+/** Parameter `key` through parseNumber(), or `def` when it is absent. */
+template <class T>
+T
+param(const PolicyParams &params, const std::string &key, T def,
+      T max = std::numeric_limits<T>::max())
 {
     auto it = params.find(key);
     if (it == params.end())
         return def;
-    char *end = nullptr;
-    std::uint64_t v = std::strtoull(it->second.c_str(), &end, 10);
-    CSIM_ASSERT(end && *end == '\0' && !it->second.empty(),
-                "parameter '", key, "': unparsable value '",
-                it->second, "'");
-    return v;
+    std::optional<T> v = parseNumber<T>(it->second, max);
+    CSIM_ASSERT(v, "parameter '", key, "': invalid value '", it->second,
+                "'");
+    return *v;
+}
+
+std::uint64_t
+paramU64(const PolicyParams &params, const std::string &key,
+         std::uint64_t def)
+{
+    return param(params, key, def);
 }
 
 int
 paramInt(const PolicyParams &params, const std::string &key, int def)
 {
-    std::uint64_t v =
-        paramU64(params, key, static_cast<std::uint64_t>(def));
-    CSIM_ASSERT(v <= 1000000, "parameter '", key, "' out of range");
-    return static_cast<int>(v);
+    return param(params, key, def, 1000000);
 }
 
 double
 paramF64(const PolicyParams &params, const std::string &key, double def)
 {
-    auto it = params.find(key);
-    if (it == params.end())
-        return def;
-    char *end = nullptr;
-    double v = std::strtod(it->second.c_str(), &end);
-    CSIM_ASSERT(end && *end == '\0' && !it->second.empty(),
-                "parameter '", key, "': unparsable value '",
-                it->second, "'");
-    return v;
+    return param(params, key, def);
 }
 
 /** Canonical `policy{k=v;...}` key; pairs must be pre-sorted. */

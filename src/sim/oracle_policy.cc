@@ -1,12 +1,11 @@
 #include "sim/oracle_policy.hh"
 
 #include <algorithm>
-#include <charconv>
-#include <cstdlib>
 #include <memory>
 #include <utility>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "reconfig/oracle.hh"
 #include "sim/presets.hh"
 #include "sim/simulation.hh"
@@ -129,20 +128,10 @@ requiredU64(const PolicyParams &params, const std::string &key)
     auto it = params.find(key);
     CSIM_ASSERT(it != params.end(),
                 "oracle: required parameter '", key, "' missing");
-    char *end = nullptr;
-    std::uint64_t v = std::strtoull(it->second.c_str(), &end, 10);
-    CSIM_ASSERT(end && *end == '\0' && !it->second.empty(),
-                "oracle: unparsable '", key, "': ", it->second);
-    return v;
-}
-
-/** Whole-string parse of a number; false on any leftover character. */
-template <typename T>
-bool
-parseWhole(const std::string &s, T &v)
-{
-    auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-    return ec == std::errc() && end == s.data() + s.size();
+    std::optional<std::uint64_t> v =
+        parseNumber<std::uint64_t>(it->second);
+    CSIM_ASSERT(v, "oracle: unparsable '", key, "': ", it->second);
+    return *v;
 }
 
 void
@@ -252,7 +241,11 @@ oracleParamsFromKey(const std::string &key)
     }
     auto number = [&](const char *name, auto &out) {
         auto it = fields.find(name);
-        return it != fields.end() && parseWhole(it->second, out);
+        auto v = parseNumber<std::decay_t<decltype(out)>>(
+            it == fields.end() ? "" : it->second);
+        if (v)
+            out = *v;
+        return v.has_value();
     };
     OraclePolicyParams p;
     if (!fields.count("bench") || !fields.count("configs") ||
@@ -266,10 +259,11 @@ oracleParamsFromKey(const std::string &key)
     const std::string &configs = fields["configs"];
     for (std::size_t at = 0; at <= configs.size();) {
         std::size_t end = std::min(configs.find('.', at), configs.size());
-        int c = 0;
-        if (!parseWhole(configs.substr(at, end - at), c))
+        std::optional<int> c =
+            parseNumber<int>(configs.substr(at, end - at));
+        if (!c)
             return std::nullopt;
-        p.configs.push_back(c);
+        p.configs.push_back(*c);
         at = end + 1;
     }
     // Re-encoding rejects everything the field parse let through:
@@ -400,13 +394,11 @@ registerOraclePolicy()
                     p.interval = requiredU64(params, "interval");
                 auto pen = params.find("penalty");
                 if (pen != params.end()) {
-                    char *end = nullptr;
-                    p.penaltyCycles =
-                        std::strtod(pen->second.c_str(), &end);
-                    CSIM_ASSERT(end && *end == '\0' &&
-                                    !pen->second.empty(),
-                                "oracle: unparsable 'penalty': ",
+                    std::optional<double> v =
+                        parseNumber<double>(pen->second);
+                    CSIM_ASSERT(v, "oracle: unparsable 'penalty': ",
                                 pen->second);
+                    p.penaltyCycles = *v;
                 }
                 return makeOracleHandle(p);
             });

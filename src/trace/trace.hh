@@ -18,7 +18,7 @@
  * unless the build is configured with -DCLUSTERSIM_TRACE=ON (which
  * defines CLUSTERSIM_TRACE_ENABLED=1) -- the default build carries no
  * tracing code in the hot paths at all, keeping the golden grid
- * bit-exact and perfbench flat. In a trace build, hooks route to the
+ * bit-exact and e2ebench flat. In a trace build, hooks route to the
  * thread-current sink installed with TraceScope; with no scope
  * installed they cost one thread-local load. Tracing is observation
  * only: installing a sink never changes simulation results.

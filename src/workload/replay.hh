@@ -19,8 +19,7 @@
  * every point from the generator, and a warm start resumes the
  * generator from the checkpoint (see docs/PERF.md, "Warmup
  * checkpoints"). ReplayBuffer and ReplaySource remain for e2ebench's
- * traced passes, which time stream generation as its own span,
- * `perfbench --batched`, which restores one snapshot many times, and
+ * traced passes, which time stream generation as its own span, and for
  * the tests.
  */
 

@@ -1,15 +1,15 @@
 /**
  * @file
  * Unit tests for the common utilities: RNG, saturating counters,
- * statistics, slot reservation, table formatting, and SHA-256 (the
- * dispatched block path held to the portable reference).
+ * statistics, slot reservation, table formatting, the strict number
+ * parser, and SHA-256 (the dispatched block path held to the portable
+ * reference).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "common/random.hh"
 #include "common/resource.hh"
 #include "common/sat_counter.hh"
@@ -260,18 +261,47 @@ TEST(Stats, GeomeanAndAmean)
     EXPECT_DOUBLE_EQ(geomean({1.0, 0.0}), 0.0); // non-positive guard
 }
 
-TEST(Stats, SafeRateClampsVanishingDenominator)
+// ---------------------------------------------------------------------------
+// parseNumber
+// ---------------------------------------------------------------------------
+
+TEST(ParseNumber, TakesOnlyAWholePlainDecimal)
 {
-    // Ordinary denominators divide normally.
-    EXPECT_DOUBLE_EQ(safeRate(100.0, 2.0), 50.0);
-    EXPECT_DOUBLE_EQ(safeRate(5.0, 1e-6), 5.0e6);
-    // A ~0 wall time must give a huge-but-finite rate, never inf: the
-    // JSON writer spells inf as null, which poisons any later read of
-    // the value (the perfbench --quick baseline regression).
-    EXPECT_TRUE(std::isfinite(safeRate(1e6, 0.0)));
-    EXPECT_DOUBLE_EQ(safeRate(1e6, 0.0), 1e6 / 1e-9);
-    EXPECT_DOUBLE_EQ(safeRate(1e6, -1.0), 1e6 / 1e-9);
-    EXPECT_DOUBLE_EQ(safeRate(0.0, 0.0), 0.0);
+    EXPECT_EQ(parseNumber<std::uint64_t>("0"), 0u);
+    EXPECT_EQ(parseNumber<std::uint64_t>("60000"), 60000u);
+    EXPECT_EQ(parseNumber<std::uint64_t>("18446744073709551615"),
+              UINT64_MAX);
+    // Each of these once read as a number: "10G" as 10, "-1" as
+    // 2^64-1, "abc" as 0.
+    for (const char *bad : {"", "10G", "-1", "+1", " 1", "1 ", "abc",
+                            "0x10", "1e3", "1.5", "18446744073709551616"})
+        EXPECT_FALSE(parseNumber<std::uint64_t>(bad)) << bad;
+    EXPECT_FALSE(parseNumber<int>("-0"));
+    EXPECT_FALSE(parseNumber<int>("2147483648"));
+}
+
+TEST(ParseNumber, EnforcesEachFlagsRange)
+{
+    // Ports.
+    EXPECT_EQ(parseNumber("65535", 65535), 65535);
+    EXPECT_FALSE(parseNumber("65536", 65535));
+    EXPECT_FALSE(parseNumber("70000", 65535));
+    // Thread and worker counts, checked here rather than by starting a
+    // sweep or a daemon with that many threads.
+    EXPECT_EQ(parseNumber("0", maxThreadsFlag), 0);
+    EXPECT_EQ(parseNumber("1024", maxThreadsFlag), maxThreadsFlag);
+    for (const char *bad : {"1025", "100000", "4294967297", "x", "-4"})
+        EXPECT_FALSE(parseNumber(bad, maxThreadsFlag)) << bad;
+    // Fractions.
+    EXPECT_EQ(parseNumber("0.9", 1.0), 0.9);
+    EXPECT_EQ(parseNumber("1", 1.0), 1.0);
+    EXPECT_EQ(parseNumber(".5", 1.0), 0.5);
+    for (const char *bad : {"abc", "", "1.01", "-0.1", "-0", "+0.5",
+                            "0.9x", " 0.9", "nan", "inf", "1e999"})
+        EXPECT_FALSE(parseNumber(bad, 1.0)) << bad;
+    // Unbounded doubles are still finite.
+    EXPECT_EQ(parseNumber<double>("300.0001"), 300.0001);
+    EXPECT_FALSE(parseNumber<double>("inf"));
 }
 
 // ---------------------------------------------------------------------------

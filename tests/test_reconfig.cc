@@ -11,6 +11,7 @@
 
 #include <cmath>
 
+#include "common/logging.hh"
 #include "reconfig/distant_ilp.hh"
 #include "reconfig/finegrain.hh"
 #include "reconfig/ineffectuality.hh"
@@ -1252,6 +1253,26 @@ TEST(Registry, KeysKeepEveryDigitOfRealParameters)
     EXPECT_EQ(canonicalNumber(1e6), "1e+06");
     for (double v : {0.1 + 0.2, 1.0 / 3.0, 123.456, 1e-7})
         EXPECT_EQ(std::stod(canonicalNumber(v)), v) << v;
+}
+
+TEST(Registry, RejectsMalformedAndNegativeParameters)
+{
+    ScopedPanicRethrow guard; // a rejected parameter panics
+    // "-1" once read as 2^64-1 for an unsigned parameter.
+    EXPECT_THROW(makeController("ivl-explore", {{"interval", "-1"}}),
+                 SimError);
+    for (const char *bad : {"", "10k", " 10", "+10", "1e4", "0x10"})
+        EXPECT_THROW(makeController("ivl-explore", {{"interval", bad}}),
+                     SimError)
+            << bad;
+    EXPECT_THROW(makeController("fg-branch", {{"stride", "1000001"}}),
+                 SimError);
+    EXPECT_THROW(makeController("ineffectuality", {{"gate", "-0.5"}}),
+                 SimError);
+    EXPECT_THROW(makeController("ineffectuality", {{"gate", "nan"}}),
+                 SimError);
+    EXPECT_EQ(makeController("ivl-explore", {{"interval", "5000"}}).key,
+              "ivl-explore{interval=5000;max-interval=10000000}");
 }
 
 TEST(Registry, HandleFactoryIsReusable)

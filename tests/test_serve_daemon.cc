@@ -47,6 +47,36 @@ shortSleep()
     nanosleep(&ts, nullptr);
 }
 
+/** Run `argv` with stdout and stderr discarded; its exit status, or -1
+ *  when it could not fork, died on a signal or was killed after 30s. */
+int
+exitStatusOf(std::vector<std::string> argv)
+{
+    std::vector<char *> args;
+    for (std::string &a : argv)
+        args.push_back(a.data());
+    args.push_back(nullptr);
+    pid_t pid = fork();
+    if (pid < 0)
+        return -1;
+    if (pid == 0) {
+        int fd = open("/dev/null", O_WRONLY);
+        dup2(fd, 1);
+        dup2(fd, 2);
+        execv(args[0], args.data());
+        _exit(127);
+    }
+    int status = 0;
+    for (int i = 0; i < 1500; i++) { // <= 30s
+        if (waitpid(pid, &status, WNOHANG) == pid)
+            return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+        shortSleep();
+    }
+    kill(pid, SIGKILL);
+    waitpid(pid, &status, 0);
+    return -1;
+}
+
 /** Line-oriented test client with a receive timeout so a server bug
  *  fails the test instead of hanging the suite. */
 class TestClient
@@ -556,6 +586,22 @@ TEST_F(ServeDaemon, ShutdownRequestDrainsLikeSigterm)
     EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
+TEST_F(ServeDaemon, MalformedNumericFlagsExitTwo)
+{
+    // "abc" once read as 0.0, which turned the gate off: the submission
+    // ran and passed. A bad value must stop the client before it sends.
+    std::string port = std::to_string(port_);
+    for (const char *gate : {"--require-cached", "--require-warm"})
+        EXPECT_EQ(exitStatusOf({SWEEPC_BIN, "--port", port, "submit",
+                                "--preset", "smoke", "--warmup", "500",
+                                "--measure", "2000", gate, "abc"}),
+                  2)
+            << gate;
+    // 70000 once truncated to port 4464, and the daemon listened there.
+    EXPECT_EQ(exitStatusOf({SWEEPD_BIN, "--port", "70000"}), 2);
+    EXPECT_EQ(exitStatusOf({SWEEPD_BIN, "--workers", "x"}), 2);
+}
+
 // ---------------------------------------------------------------------------
 // `sweepc prune` against live writers
 // ---------------------------------------------------------------------------
@@ -659,5 +705,27 @@ TEST(SweepcPrune, RacingPrunesSpareFreshArtifactsAndLiveTempFiles)
 
     for (const char *f : {"/fresh.cpt", "/.tmp-42-1"})
         std::remove((dir + f).c_str());
+    rmdir(dir.c_str());
+}
+
+TEST(SweepcPrune, MalformedMaxBytesExitsTwoAndDeletesNothing)
+{
+    char tmpl[] = "/tmp/clustersim-prune-XXXXXX";
+    char *p = mkdtemp(tmpl);
+    ASSERT_NE(p, nullptr);
+    std::string dir = p;
+    for (int i = 0; i < 3; i++)
+        writeArtifact(dir + "/old" + std::to_string(i) + ".ckp", 100000,
+                      3600);
+
+    // "10G" once read as 10 bytes, and prune emptied the store.
+    EXPECT_EQ(exitStatusOf({SWEEPC_BIN, "prune", "--dir", dir,
+                            "--max-bytes", "10G", "--quiet"}),
+              2);
+    for (int i = 0; i < 3; i++) {
+        std::string f = dir + "/old" + std::to_string(i) + ".ckp";
+        EXPECT_TRUE(fileExists(f)) << f;
+        std::remove(f.c_str());
+    }
     rmdir(dir.c_str());
 }

@@ -120,11 +120,11 @@ TEST(Replay, RunFromBufferMatchesGeneratorRun)
 TEST(Snapshot, RestoredRunMatchesStraightLine)
 {
     // The restore() + run(k) == uninterrupted-run(k) property, the
-    // foundation of warm checkpoint starts and perfbench --batched,
-    // across every controller family (static, interval-explore,
-    // interval-ILP, fine-grained) and both interconnects. The snapshot
-    // is restored twice, with a deliberately diverging run in between,
-    // so a restore that leaks earlier state cannot pass.
+    // foundation of warm checkpoint starts, across every controller
+    // family (static, interval-explore, interval-ILP, fine-grained)
+    // and both interconnects. The snapshot is restored twice, with a
+    // deliberately diverging run in between, so a restore that leaks
+    // earlier state cannot pass.
     struct Case {
         const char *name;
         std::function<std::unique_ptr<ReconfigController>()> make;

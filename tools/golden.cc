@@ -22,6 +22,7 @@
 
 #include "check/golden.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "sim/sweep.hh"
 
 #ifndef CLUSTERSIM_GOLDEN_DIR
@@ -97,7 +98,8 @@ main(int argc, char **argv)
         } else if (arg == "--report") {
             report_path = need("--report");
         } else if (arg == "--threads") {
-            threads = std::atoi(need("--threads"));
+            threads = flagNumber("--threads", need("--threads"),
+                                 maxThreadsFlag);
         } else if (arg == "--quiet") {
             quiet = true;
         } else if (arg == "--help" || arg == "-h") {

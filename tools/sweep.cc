@@ -27,6 +27,7 @@
 #include <fstream>
 #include <string>
 
+#include "common/parse.hh"
 #include "sim/checkpoint.hh"
 #include "sim/presets.hh"
 #include "sim/sweep.hh"
@@ -98,15 +99,18 @@ main(int argc, char **argv)
         } else if (arg == "--preset") {
             preset = need("--preset");
         } else if (arg == "--threads") {
-            threads = std::atoi(need("--threads"));
+            threads = flagNumber("--threads", need("--threads"),
+                                 maxThreadsFlag);
         } else if (arg == "--jobs") {
-            threads = std::atoi(need("--jobs"));
+            threads =
+                flagNumber("--jobs", need("--jobs"), maxThreadsFlag);
         } else if (arg == "--out") {
             out_path = need("--out");
         } else if (arg == "--warmup") {
-            warmup = std::strtoull(need("--warmup"), nullptr, 10);
+            warmup = flagNumber<std::uint64_t>("--warmup", need("--warmup"));
         } else if (arg == "--measure") {
-            measure = std::strtoull(need("--measure"), nullptr, 10);
+            measure =
+                flagNumber<std::uint64_t>("--measure", need("--measure"));
         } else if (arg == "--no-timing") {
             include_timing = false;
         } else if (arg == "--checkpoints") {

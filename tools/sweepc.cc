@@ -48,6 +48,7 @@
 #include "common/json.hh"
 #include "common/json_reader.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
 
 using namespace clustersim;
 
@@ -451,27 +452,32 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--port") {
-            port = std::atoi(need("--port"));
+            port = flagNumber("--port", need("--port"), 65535);
         } else if (arg == "--port-file") {
             port_file = need("--port-file");
         } else if (arg == "--preset") {
             preset = need("--preset");
         } else if (arg == "--warmup") {
-            warmup = std::strtoull(need("--warmup"), nullptr, 10);
+            warmup = flagNumber<std::uint64_t>("--warmup", need("--warmup"));
         } else if (arg == "--measure") {
-            measure = std::strtoull(need("--measure"), nullptr, 10);
+            measure =
+                flagNumber<std::uint64_t>("--measure", need("--measure"));
         } else if (arg == "--active-clusters") {
-            active_clusters = std::atoi(need("--active-clusters"));
+            active_clusters = flagNumber<int>("--active-clusters",
+                                             need("--active-clusters"));
         } else if (arg == "--out") {
             out_path = need("--out");
         } else if (arg == "--require-cached") {
-            require_cached = std::atof(need("--require-cached"));
+            require_cached =
+                flagNumber("--require-cached", need("--require-cached"), 1.0);
         } else if (arg == "--require-warm") {
-            require_warm = std::atof(need("--require-warm"));
+            require_warm =
+                flagNumber("--require-warm", need("--require-warm"), 1.0);
         } else if (arg == "--dir") {
             prune_dirs.push_back(need("--dir"));
         } else if (arg == "--max-bytes") {
-            max_bytes = std::strtoull(need("--max-bytes"), nullptr, 10);
+            max_bytes =
+                flagNumber<std::uint64_t>("--max-bytes", need("--max-bytes"));
             have_max_bytes = true;
         } else if (arg == "--quiet") {
             quiet = true;

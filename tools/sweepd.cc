@@ -24,6 +24,7 @@
 #include <cstring>
 #include <string>
 
+#include "common/parse.hh"
 #include "serve/cache.hh"
 #include "serve/server.hh"
 #include "sim/checkpoint.hh"
@@ -90,7 +91,7 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--port") {
-            cfg.port = std::atoi(need("--port"));
+            cfg.port = flagNumber("--port", need("--port"), 65535);
         } else if (arg == "--port-file") {
             cfg.portFile = need("--port-file");
         } else if (arg == "--cache") {
@@ -102,10 +103,11 @@ main(int argc, char **argv)
         } else if (arg == "--checkpoint-salt") {
             ckpt_salt = need("--checkpoint-salt");
         } else if (arg == "--workers") {
-            cfg.workers = std::atoi(need("--workers"));
+            cfg.workers = flagNumber("--workers", need("--workers"),
+                                     maxThreadsFlag);
         } else if (arg == "--max-jobs") {
-            cfg.maxActiveJobs = static_cast<std::size_t>(
-                std::strtoull(need("--max-jobs"), nullptr, 10));
+            cfg.maxActiveJobs =
+                flagNumber<std::size_t>("--max-jobs", need("--max-jobs"));
         } else if (arg == "--help" || arg == "-h") {
             return usage(argv[0], 0);
         } else {

@@ -26,6 +26,7 @@
 #include <string>
 
 #include "common/json.hh"
+#include "common/parse.hh"
 #include "sim/presets.hh"
 #include "sim/simulation.hh"
 #include "trace/trace.hh"
@@ -122,22 +123,25 @@ main(int argc, char **argv)
         } else if (arg == "--controller") {
             controller_name = need("--controller");
         } else if (arg == "--clusters") {
-            clusters = std::atoi(need("--clusters"));
+            clusters =
+                flagNumber("--clusters", need("--clusters"), maxClusters);
         } else if (arg == "--grid") {
             grid = true;
         } else if (arg == "--dcache") {
             dcache = true;
         } else if (arg == "--warmup") {
-            warmup = std::strtoull(need("--warmup"), nullptr, 10);
+            warmup = flagNumber<std::uint64_t>("--warmup", need("--warmup"));
         } else if (arg == "--measure") {
-            measure = std::strtoull(need("--measure"), nullptr, 10);
+            measure =
+                flagNumber<std::uint64_t>("--measure", need("--measure"));
         } else if (arg == "--interval") {
-            interval = std::strtoull(need("--interval"), nullptr, 10);
+            interval =
+                flagNumber<std::uint64_t>("--interval", need("--interval"));
         } else if (arg == "--sample-period") {
-            sample_period =
-                std::strtoull(need("--sample-period"), nullptr, 10);
+            sample_period = flagNumber<std::uint64_t>("--sample-period",
+                                                      need("--sample-period"));
         } else if (arg == "--ring") {
-            ring = std::strtoull(need("--ring"), nullptr, 10);
+            ring = flagNumber<std::size_t>("--ring", need("--ring"));
         } else if (arg == "--out") {
             out_path = need("--out");
         } else if (arg == "--series") {
