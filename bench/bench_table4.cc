@@ -13,17 +13,20 @@
  * simulate -- is the reproduction target.
  */
 
-#include "bench/bench_common.hh"
-
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
+#include <string>
 
 #include "common/table.hh"
 #include "sim/phase_stats.hh"
+#include "sim/presets.hh"
+#include "sim/simulation.hh"
+#include "workload/benchmarks.hh"
 
 using namespace clustersim;
-using namespace clustersim::bench;
 
 namespace {
 
@@ -43,12 +46,17 @@ constexpr PaperRow paperRows[] = {
 
 } // namespace
 
+/** Usage: bench_table4 [measured-instructions-per-benchmark] */
 int
 main(int argc, char **argv)
 {
-    std::uint64_t insts = runLength(argc, argv, 4000000);
-    header("Table 4", "instability factors for different interval "
-           "lengths (collected at 16 clusters)", insts);
+    std::uint64_t insts =
+        argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 4000000;
+    std::printf("Table 4 -- instability factors for different interval "
+                "lengths (collected at 16 clusters)\n"
+                "measured instructions per run: %llu (paper windows are "
+                "~10x longer)\n\n",
+                static_cast<unsigned long long>(insts));
 
     const std::vector<std::uint64_t> ladder = {
         10000, 20000, 40000, 80000, 160000, 320000, 640000, 1280000};

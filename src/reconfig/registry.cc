@@ -27,9 +27,9 @@ checkKnown(const std::string &policy, const PolicyParams &params,
            const std::set<std::string> &known)
 {
     for (const auto &kv : params)
-        CSIM_ASSERT(known.count(kv.first),
-                    "policy '", policy, "': unknown parameter '",
-                    kv.first, "'");
+        if (!known.count(kv.first))
+            fatal("policy '", policy, "': unknown parameter '", kv.first,
+                  "'");
 }
 
 /** Parameter `key` through parseNumber(), or `def` when it is absent. */
@@ -42,8 +42,8 @@ param(const PolicyParams &params, const std::string &key, T def,
     if (it == params.end())
         return def;
     std::optional<T> v = parseNumber<T>(it->second, max);
-    CSIM_ASSERT(v, "parameter '", key, "': invalid value '", it->second,
-                "'");
+    if (!v)
+        fatal("parameter '", key, "': invalid value '", it->second, "'");
     return *v;
 }
 
@@ -228,8 +228,8 @@ makeController(const std::string &policy, const PolicyParams &params)
         if (it != r.policies.end())
             build = it->second;
     }
-    CSIM_ASSERT(build != nullptr, "unknown controller policy: ",
-                policy);
+    if (!build)
+        fatal("unknown controller policy: ", policy);
     ControllerHandle h = build(params);
     CSIM_ASSERT(!h.key.empty() && h.make != nullptr,
                 "policy '", policy, "' built a defective handle");

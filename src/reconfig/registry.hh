@@ -43,8 +43,8 @@
 
 namespace clustersim {
 
-/** Policy parameters: name -> value, both strings. Unknown names
- *  assert (they are typos, not extensions). */
+/** Policy parameters: name -> value, both strings. Unknown names are
+ *  errors (they are typos, not extensions). */
 using PolicyParams = std::map<std::string, std::string>;
 
 /** A constructible controller identity: canonical key + factory. */
@@ -56,8 +56,9 @@ struct ControllerHandle {
 };
 
 /**
- * Build the handle for a named policy. Asserts on an unknown policy
- * name, an unknown parameter name, or an unparsable value.
+ * Build the handle for a named policy. An unknown policy name, an
+ * unknown parameter name or an unparsable value is a user error:
+ * fatal() throws SimError.
  */
 ControllerHandle makeController(const std::string &policy,
                                 const PolicyParams &params = {});

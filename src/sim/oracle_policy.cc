@@ -126,11 +126,12 @@ std::uint64_t
 requiredU64(const PolicyParams &params, const std::string &key)
 {
     auto it = params.find(key);
-    CSIM_ASSERT(it != params.end(),
-                "oracle: required parameter '", key, "' missing");
+    if (it == params.end())
+        fatal("oracle: required parameter '", key, "' missing");
     std::optional<std::uint64_t> v =
         parseNumber<std::uint64_t>(it->second);
-    CSIM_ASSERT(v, "oracle: unparsable '", key, "': ", it->second);
+    if (!v)
+        fatal("oracle: unparsable '", key, "': ", it->second);
     return *v;
 }
 
@@ -371,19 +372,15 @@ registerOraclePolicy()
         registerControllerPolicy(
             "oracle", [](const PolicyParams &params) {
                 for (const auto &kv : params)
-                    CSIM_ASSERT(kv.first == "bench" ||
-                                    kv.first == "seed" ||
-                                    kv.first == "horizon" ||
-                                    kv.first == "warmup" ||
-                                    kv.first == "interval" ||
-                                    kv.first == "penalty",
-                                "oracle: unknown parameter '",
-                                kv.first, "'");
+                    if (kv.first != "bench" && kv.first != "seed" &&
+                        kv.first != "horizon" && kv.first != "warmup" &&
+                        kv.first != "interval" && kv.first != "penalty")
+                        fatal("oracle: unknown parameter '", kv.first,
+                              "'");
                 OraclePolicyParams p;
                 auto bench = params.find("bench");
-                CSIM_ASSERT(bench != params.end(),
-                            "oracle: required parameter 'bench' "
-                            "missing");
+                if (bench == params.end())
+                    fatal("oracle: required parameter 'bench' missing");
                 p.bench = bench->second;
                 p.seed = requiredU64(params, "seed");
                 p.horizon = requiredU64(params, "horizon");
@@ -396,8 +393,9 @@ registerOraclePolicy()
                 if (pen != params.end()) {
                     std::optional<double> v =
                         parseNumber<double>(pen->second);
-                    CSIM_ASSERT(v, "oracle: unparsable 'penalty': ",
-                                pen->second);
+                    if (!v)
+                        fatal("oracle: unparsable 'penalty': ",
+                              pen->second);
                     p.penaltyCycles = *v;
                 }
                 return makeOracleHandle(p);

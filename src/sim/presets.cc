@@ -84,8 +84,9 @@ slowHopsConfig()
 
 // --- Controller factories -------------------------------------------------
 // Thin wrappers over the policy registry (reconfig/registry.hh), kept
-// for direct construction in tests and tools; presets use registry
-// handles so every preset point carries the policy's canonical key.
+// for direct construction in tests and the fuzz driver; presets use
+// registry handles so every preset point carries the policy's
+// canonical key.
 
 std::unique_ptr<ReconfigController>
 makeExploreController()
@@ -149,11 +150,21 @@ policyVariant(const std::string &label, ProcessorConfig cfg,
     return {label, std::move(cfg), std::move(h.make), std::move(h.key)};
 }
 
+/**
+ * The seedTag of every comparison preset (fig5-8, sensitivity,
+ * commcost, ablation): each benchmark's variants race one stream, as
+ * the paper compares every organization on the same program, and a
+ * point shared by two of these presets is the same point in both
+ * (one cache entry, one checkpoint).
+ */
+constexpr const char *paperSeedTag = "paper";
+
 /** Append one benchmark x variants cross to an existing point list. */
 void
 appendCross(std::vector<RunPoint> &points, const WorkloadSpec &w,
             const std::vector<SweepVariant> &variants,
-            std::uint64_t warmup, std::uint64_t measure)
+            std::uint64_t warmup, std::uint64_t measure,
+            const std::string &seed_tag)
 {
     for (const SweepVariant &v : variants) {
         RunPoint p;
@@ -164,6 +175,7 @@ appendCross(std::vector<RunPoint> &points, const WorkloadSpec &w,
         p.warmup = warmup;
         p.measure = measure;
         p.controllerKey = v.controllerKey;
+        p.seedTag = seed_tag;
         points.push_back(std::move(p));
     }
 }
@@ -171,11 +183,12 @@ appendCross(std::vector<RunPoint> &points, const WorkloadSpec &w,
 /** Cross every benchmark with every variant, in row-major order. */
 std::vector<RunPoint>
 crossGrid(const std::vector<SweepVariant> &variants,
-          std::uint64_t warmup, std::uint64_t measure)
+          std::uint64_t warmup, std::uint64_t measure,
+          const std::string &seed_tag = "")
 {
     std::vector<RunPoint> points;
     for (const WorkloadSpec &w : allBenchmarks())
-        appendCross(points, w, variants, warmup, measure);
+        appendCross(points, w, variants, warmup, measure, seed_tag);
     return points;
 }
 
@@ -200,7 +213,7 @@ sweepPresetNames()
 {
     static const std::vector<std::string> names = {
         "table3", "fig3", "fig5", "fig6", "fig7", "fig8",
-        "sensitivity", "smoke", "tournament",
+        "sensitivity", "commcost", "ablation", "smoke", "tournament",
     };
     return names;
 }
@@ -240,7 +253,7 @@ makeSweepPreset(const std::string &name, std::uint64_t warmup,
             policyVariant("ivl-ilp-100K", clusteredConfig(16), "ivl-ilp",
                           {{"interval", "100000"}}),
         };
-        return crossGrid(variants, warm, run(2000000));
+        return crossGrid(variants, warm, run(2000000), paperSeedTag);
     }
     if (name == "fig6") {
         std::vector<SweepVariant> variants = {
@@ -252,7 +265,7 @@ makeSweepPreset(const std::string &name, std::uint64_t warmup,
             policyVariant("fg-subroutine", clusteredConfig(16),
                           "fg-subroutine"),
         };
-        return crossGrid(variants, warm, run(2000000));
+        return crossGrid(variants, warm, run(2000000), paperSeedTag);
     }
     if (name == "fig7") {
         std::vector<SweepVariant> variants =
@@ -265,12 +278,12 @@ makeSweepPreset(const std::string &name, std::uint64_t warmup,
             "ivl-ilp-10K",
             clusteredConfig(16, InterconnectKind::Ring, true), "ivl-ilp",
             {{"interval", "10000"}}));
-        return crossGrid(variants, warm, run(2000000));
+        return crossGrid(variants, warm, run(2000000), paperSeedTag);
     }
     if (name == "fig8") {
         return crossGrid(
             staticPlusExploreVariants(InterconnectKind::Grid, false),
-            warm, run(2000000));
+            warm, run(2000000), paperSeedTag);
     }
     if (name == "sensitivity") {
         struct SensCase {
@@ -296,12 +309,61 @@ makeSweepPreset(const std::string &name, std::uint64_t warmup,
                 {tag + "/static-16", s16, nullptr, ""},
                 policyVariant(tag + "/ivl-explore", hw, "ivl-explore"),
             };
-            auto grid = crossGrid(variants, warm, run(1500000));
+            auto grid =
+                crossGrid(variants, warm, run(1500000), paperSeedTag);
             points.insert(points.end(),
                           std::make_move_iterator(grid.begin()),
                           std::make_move_iterator(grid.end()));
         }
         return points;
+    }
+    if (name == "commcost") {
+        // The in-text communication-cost studies: each idealization is
+        // a copy of its base machine with one flag set.
+        ProcessorConfig central = staticSubsetConfig(16);
+        ProcessorConfig free_ldst = central;
+        free_ldst.freeMemComm = true;
+        ProcessorConfig free_reg = central;
+        free_reg.freeRegComm = true;
+        ProcessorConfig dcache =
+            staticSubsetConfig(16, InterconnectKind::Ring, true);
+        ProcessorConfig perfect_bank = dcache;
+        perfect_bank.perfectBankPred = true;
+        ProcessorConfig dcache_free_reg = dcache;
+        dcache_free_reg.freeRegComm = true;
+        std::vector<SweepVariant> variants = {
+            {"central/base", central, nullptr, ""},
+            {"central/free-ldst", free_ldst, nullptr, ""},
+            {"central/free-reg", free_reg, nullptr, ""},
+            {"dcache/base", dcache, nullptr, ""},
+            {"dcache/perfect-bank", perfect_bank, nullptr, ""},
+            {"dcache/free-reg", dcache_free_reg, nullptr, ""},
+        };
+        return crossGrid(variants, warm, run(1000000), paperSeedTag);
+    }
+    if (name == "ablation") {
+        // Design-choice ablations; each group's reference comes first.
+        // Steering: load balance never overrides operand affinity, or
+        // always picks the least-loaded cluster (close to Mod_N).
+        ProcessorConfig full = staticSubsetConfig(16);
+        ProcessorConfig no_balance = full;
+        no_balance.loadBalanceThreshold = 1 << 20;
+        ProcessorConfig pure_balance = full;
+        pure_balance.loadBalanceThreshold = 0;
+        std::vector<SweepVariant> variants = {
+            {"steer/full", full, nullptr, ""},
+            {"steer/no-load-balance", no_balance, nullptr, ""},
+            {"steer/pure-load-balance", pure_balance, nullptr, ""},
+        };
+        for (const char *t : {"300", "160", "500"})
+            variants.push_back(policyVariant(
+                std::string("ilp-threshold/") + t, clusteredConfig(16),
+                "ivl-ilp", {{"distant-per-mille", t}}));
+        for (const char *s : {"5", "1", "20"})
+            variants.push_back(policyVariant(
+                std::string("fg-stride/") + s, clusteredConfig(16),
+                "fg-branch", {{"stride", s}}));
+        return crossGrid(variants, warm, run(800000), paperSeedTag);
     }
     if (name == "smoke") {
         std::vector<SweepVariant> variants = {
@@ -340,10 +402,7 @@ makeSweepPreset(const std::string &name, std::uint64_t warmup,
                  {"horizon", std::to_string(warm + meas)},
                  {"warmup", std::to_string(warm)},
                  {"interval", "1000"}}));
-            std::size_t first = points.size();
-            appendCross(points, w, variants, warm, meas);
-            for (std::size_t i = first; i < points.size(); i++)
-                points[i].seedTag = "tournament";
+            appendCross(points, w, variants, warm, meas, "tournament");
         }
         return points;
     }

@@ -69,8 +69,16 @@ std::unique_ptr<ReconfigController> makeSubroutineController();
 
 /**
  * Names accepted by makeSweepPreset: the paper's figures/tables
- * (table3, fig3, fig5, fig6, fig7, fig8, sensitivity) plus "smoke"
- * (a short static-vs-dynamic grid for CI-style regression runs).
+ * (table3, fig3, fig5, fig6, fig7, fig8, sensitivity), its in-text
+ * communication-cost studies (commcost), the design-choice ablations
+ * (ablation), "smoke" (a short static-vs-dynamic grid for CI-style
+ * regression runs) and "tournament" (every dynamic policy raced
+ * against the offline oracle).
+ *
+ * In fig5-8, sensitivity, commcost and ablation every point carries
+ * the seedTag "paper", so each benchmark's variants race one
+ * instruction stream. table3, fig3 and smoke derive one stream per
+ * label; tournament tags its points "tournament".
  */
 const std::vector<std::string> &sweepPresetNames();
 
@@ -80,8 +88,9 @@ const std::vector<std::string> &sweepPresetNames();
  *
  * @param name    One of sweepPresetNames() (asserts otherwise).
  * @param warmup  Warmup instructions per run (0 = preset default).
- * @param measure Measured instructions per run (0 = preset default,
- *                which matches the corresponding bench harness).
+ * @param measure Measured instructions per run (0 = preset default:
+ *                1M for table3, fig3 and commcost, 2M for fig5-8,
+ *                1.5M for sensitivity, 800K for ablation).
  */
 std::vector<RunPoint> makeSweepPreset(const std::string &name,
                                       std::uint64_t warmup = 0,

@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <optional>
 #include <thread>
@@ -15,6 +17,7 @@
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
+#include "common/table.hh"
 #include "sim/checkpoint.hh"
 #include "sim/energy.hh"
 #include "sim/oracle_policy.hh"
@@ -248,8 +251,7 @@ runSweep(const std::vector<RunPoint> &points, const SweepOptions &opts)
 
     // Canonical per-point identities, shared with the serve-layer
     // cache (sim/plan.hh).
-    std::vector<PlannedPoint> plan = planPoints(points,
-                                                opts.deriveSeeds);
+    std::vector<PlannedPoint> plan = planPoints(points, true);
     std::vector<std::optional<OracleJob>> oracles =
         planOracleJobs(points, plan);
 
@@ -432,60 +434,227 @@ wantsRanking(const std::string &name)
     return name == "tournament";
 }
 
+/** The scored fields of every run; the payload bytes stay empty. */
+std::vector<ReportEntry>
+scoredEntries(const SweepResult &res)
+{
+    std::vector<ReportEntry> entries;
+    entries.reserve(res.runs.size());
+    for (const SweepRun &run : res.runs)
+        entries.push_back({"", run.result.ipc,
+                           run.result.avgActiveClusters,
+                           run.result.benchmark, run.result.config});
+    return entries;
+}
+
+/** One config label's entries across benchmarks (one tournament
+ *  policy, one summary label), with their aggregates. */
+struct LabelRuns {
+    std::string label;
+    std::vector<std::size_t> runs; ///< entry indices, submission order
+    double ipcGeomean = 0.0;
+    double ipcAmean = 0.0;
+    double activeMean = 0.0;
+    double leakageSavingsMean = 0.0;
+};
+
+/** Entries grouped by config label, in first-appearance order. */
+std::vector<LabelRuns>
+groupByLabel(const std::vector<ReportEntry> &entries)
+{
+    std::vector<LabelRuns> out;
+    std::map<std::string, std::size_t> slot;
+    for (std::size_t i = 0; i < entries.size(); i++) {
+        auto [it, fresh] = slot.emplace(entries[i].config, out.size());
+        if (fresh)
+            out.push_back({entries[i].config, {}});
+        out[it->second].runs.push_back(i);
+    }
+    for (LabelRuns &g : out) {
+        std::vector<double> ipcs, active, savings;
+        for (std::size_t i : g.runs) {
+            ipcs.push_back(entries[i].ipc);
+            active.push_back(entries[i].avgActiveClusters);
+            savings.push_back(leakageSavings(entries[i].avgActiveClusters,
+                                             maxClusters));
+        }
+        g.ipcGeomean = geomean(ipcs);
+        g.ipcAmean = amean(ipcs);
+        g.activeMean = amean(active);
+        g.leakageSavingsMean = amean(savings);
+    }
+    return out;
+}
+
 } // namespace
 
 void
 sweepRankingJson(JsonWriter &w, const std::vector<ReportEntry> &entries)
 {
-    // Group by config label: in the tournament grid one label is one
-    // policy raced across every benchmark. std::map gives sorted,
-    // deterministic group order before ranking.
-    std::map<std::string, std::vector<const ReportEntry *>> groups;
-    for (const ReportEntry &e : entries)
-        groups[e.config].push_back(&e);
-
-    struct Row {
-        std::string policy;
-        double ipcGeomean = 0.0;
-        double ipcAmean = 0.0;
-        double leakageSavingsMean = 0.0;
-        std::uint64_t benchmarks = 0;
-    };
-    std::vector<Row> rows;
-    for (const auto &[label, pts] : groups) {
-        Row row;
-        row.policy = label;
-        row.benchmarks = pts.size();
-        std::vector<double> ipcs, savings;
-        for (const ReportEntry *e : pts) {
-            ipcs.push_back(e->ipc);
-            savings.push_back(
-                leakageSavings(e->avgActiveClusters, maxClusters));
-        }
-        row.ipcGeomean = geomean(ipcs);
-        row.ipcAmean = amean(ipcs);
-        row.leakageSavingsMean = amean(savings);
-        rows.push_back(std::move(row));
-    }
-    std::sort(rows.begin(), rows.end(), [](const Row &a, const Row &b) {
-        if (a.ipcGeomean != b.ipcGeomean)
-            return a.ipcGeomean > b.ipcGeomean;
-        return a.policy < b.policy;
-    });
+    // In the tournament grid one label is one policy raced across
+    // every benchmark.
+    std::vector<LabelRuns> rows = groupByLabel(entries);
+    std::sort(rows.begin(), rows.end(),
+              [](const LabelRuns &a, const LabelRuns &b) {
+                  if (a.ipcGeomean != b.ipcGeomean)
+                      return a.ipcGeomean > b.ipcGeomean;
+                  return a.label < b.label;
+              });
 
     w.key("ranking").beginArray();
     for (std::size_t i = 0; i < rows.size(); i++) {
-        const Row &r = rows[i];
+        const LabelRuns &r = rows[i];
         w.beginObject();
         w.field("rank", static_cast<std::uint64_t>(i + 1));
-        w.field("policy", r.policy);
+        w.field("policy", r.label);
         w.field("ipc_geomean", r.ipcGeomean);
         w.field("ipc_amean", r.ipcAmean);
         w.field("leakage_savings_mean", r.leakageSavingsMean);
-        w.field("benchmarks", r.benchmarks);
+        w.field("benchmarks", static_cast<std::uint64_t>(r.runs.size()));
         w.endObject();
     }
     w.endArray();
+}
+
+namespace {
+
+constexpr double notApplicable = std::numeric_limits<double>::quiet_NaN();
+
+/** Geomean of num[b] / den[b] over the benchmarks where both exist. */
+double
+ratioGeomean(const std::vector<double> &num, const std::vector<double> &den)
+{
+    std::vector<double> ratios;
+    for (std::size_t b = 0; b < num.size(); b++)
+        if (num[b] > 0.0 && den[b] > 0.0)
+            ratios.push_back(num[b] / den[b]);
+    return ratios.empty() ? notApplicable : geomean(ratios);
+}
+
+/** Fill each label's ratios once its group's IPC grid is complete. */
+void
+scoreGroup(SweepSummary::Group &g)
+{
+    const SweepSummary::Label *fixed = nullptr;
+    std::vector<double> best_static(g.benchmarks.size(), 0.0);
+    for (SweepSummary::Label &l : g.labels) {
+        l.ipc.resize(g.benchmarks.size(), notApplicable);
+        if (l.controller)
+            continue;
+        if (!fixed || l.ipcGeomean > fixed->ipcGeomean)
+            fixed = &l;
+        for (std::size_t b = 0; b < l.ipc.size(); b++)
+            best_static[b] = std::max(best_static[b], l.ipc[b]);
+    }
+    for (SweepSummary::Label &l : g.labels) {
+        l.vsFirst = ratioGeomean(l.ipc, g.labels.front().ipc);
+        bool scored = l.controller && fixed;
+        l.vsBestFixed = scored ? ratioGeomean(l.ipc, fixed->ipc)
+                               : notApplicable;
+        l.vsBestStatic = scored ? ratioGeomean(l.ipc, best_static)
+                                : notApplicable;
+    }
+}
+
+void
+numberCell(Table &t, double v, int precision)
+{
+    if (std::isnan(v))
+        t.cell("-");
+    else
+        t.cell(v, precision);
+}
+
+} // namespace
+
+SweepSummary
+summarizeSweep(const std::vector<RunPoint> &points, const SweepResult &res)
+{
+    CSIM_ASSERT(points.size() == res.runs.size());
+    SweepSummary out;
+    std::map<std::string, std::size_t> group_at;
+    for (const LabelRuns &lr : groupByLabel(scoredEntries(res))) {
+        std::size_t cut = lr.label.rfind('/');
+        std::string name =
+            cut == std::string::npos ? "" : lr.label.substr(0, cut);
+        auto [it, fresh] = group_at.emplace(name, out.groups.size());
+        if (fresh)
+            out.groups.push_back({name, {}, {}});
+        SweepSummary::Group &g = out.groups[it->second];
+
+        SweepSummary::Label l;
+        l.label = lr.label;
+        l.controller = points[lr.runs.front()].makeController != nullptr;
+        l.ipcAmean = lr.ipcAmean;
+        l.ipcGeomean = lr.ipcGeomean;
+        l.activeMean = lr.activeMean;
+        l.leakageSavingsMean = lr.leakageSavingsMean;
+        std::vector<double> latency;
+        for (std::size_t i : lr.runs) {
+            const SimResult &r = res.runs[i].result;
+            std::size_t b = std::find(g.benchmarks.begin(),
+                                      g.benchmarks.end(), r.benchmark) -
+                            g.benchmarks.begin();
+            if (b == g.benchmarks.size())
+                g.benchmarks.push_back(r.benchmark);
+            l.ipc.resize(std::max(l.ipc.size(), b + 1), notApplicable);
+            l.ipc[b] = r.ipc;
+            latency.push_back(r.avgRegCommLatency);
+        }
+        l.regCommLatencyMean = amean(latency);
+        g.labels.push_back(std::move(l));
+    }
+    for (SweepSummary::Group &g : out.groups)
+        scoreGroup(g);
+    return out;
+}
+
+std::string
+SweepSummary::format() const
+{
+    std::string out;
+    for (const Group &g : groups) {
+        std::string title = g.name.empty() ? "" : "[" + g.name + "] ";
+
+        std::vector<std::string> headers = {"benchmark"};
+        for (const Label &l : g.labels)
+            headers.push_back(l.label);
+        headers.push_back("best");
+        Table grid(headers);
+        auto row = [&](const std::string &name, auto value) {
+            grid.startRow();
+            grid.cell(name);
+            const Label *best = nullptr;
+            for (const Label &l : g.labels) {
+                numberCell(grid, value(l), 2);
+                if (!best || value(l) > value(*best))
+                    best = &l;
+            }
+            grid.cell(best->label);
+        };
+        for (std::size_t b = 0; b < g.benchmarks.size(); b++)
+            row(g.benchmarks[b], [b](const Label &l) { return l.ipc[b]; });
+        row("AM", [](const Label &l) { return l.ipcAmean; });
+        row("GM", [](const Label &l) { return l.ipcGeomean; });
+        out += title + "IPC\n" + grid.format() + "\n";
+
+        Table per_label({"label", "vs " + g.labels.front().label,
+                         "vs best fixed", "vs best static", "active",
+                         "leakage saved", "reg comm cycles"});
+        for (const Label &l : g.labels) {
+            per_label.startRow();
+            per_label.cell(l.label);
+            numberCell(per_label, l.vsFirst, 3);
+            numberCell(per_label, l.vsBestFixed, 3);
+            numberCell(per_label, l.vsBestStatic, 3);
+            per_label.cell(l.activeMean, 2);
+            per_label.cell(l.leakageSavingsMean, 3);
+            per_label.cell(l.regCommLatencyMean, 2);
+        }
+        out += title + "geomean IPC ratios; means across benchmarks\n" +
+               per_label.format() + "\n";
+    }
+    return out;
 }
 
 std::string
@@ -575,18 +744,10 @@ sweepReportJson(const std::string &name,
     }
     w.endArray();
 
-    if (wantsRanking(name)) {
-        // Same ranking as the deterministic path: only the scored
-        // fields matter, so the payload bytes can stay empty.
-        std::vector<ReportEntry> entries;
-        entries.reserve(res.runs.size());
-        for (const SweepRun &run : res.runs)
-            entries.push_back({"", run.result.ipc,
-                               run.result.avgActiveClusters,
-                               run.result.benchmark,
-                               run.result.config});
-        sweepRankingJson(w, entries);
-    }
+    // Same ranking as the deterministic path: only the scored fields
+    // matter.
+    if (wantsRanking(name))
+        sweepRankingJson(w, scoredEntries(res));
 
     std::vector<double> ipcs, active;
     for (const SweepRun &run : res.runs) {

@@ -8,12 +8,13 @@
  * SimResults in submission order. Results are bit-identical regardless
  * of thread count or scheduling order: each run gets its own workload
  * copy, a fresh controller (from its factory, or for an oracle point
- * from its key), and (optionally) an RNG seed derived deterministically
- * from the (benchmark, config) pair.
+ * from its key), and an RNG seed derived deterministically from the
+ * benchmark and the point's label or seedTag.
  *
  * The sweep-level JSON report (sweepReportJson) captures run metadata,
  * per-run metrics, and wall-clock + aggregate statistics, giving every
- * experiment a fast, scriptable, machine-readable regression surface.
+ * experiment a fast, scriptable, machine-readable regression surface;
+ * summarizeSweep() condenses a finished sweep into the figure's tables.
  */
 
 #ifndef CLUSTERSIM_SIM_SWEEP_HH
@@ -54,9 +55,9 @@ struct RunPoint {
      * When non-empty, replaces the label in derived-seed computation:
      * seed = sweepSeed(base, benchmark, seedTag). Points of one
      * benchmark sharing a tag race the *same* instruction stream, so
-     * their metrics compare head-to-head (the tournament preset tags
-     * all its policy variants). Empty (the default) preserves the
-     * per-label decorrelation of every other preset.
+     * their metrics compare head-to-head (the comparison presets tag
+     * every variant "paper", the tournament "tournament"). Empty (the
+     * default) derives one stream per label.
      */
     std::string seedTag;
 };
@@ -65,13 +66,6 @@ struct RunPoint {
 struct SweepOptions {
     /** Worker threads; 0 = std::thread::hardware_concurrency(). */
     int threads = 0;
-    /**
-     * Derive each run's workload seed from (benchmark, config) via
-     * sweepSeed() so every grid point is decorrelated yet reproducible.
-     * When false the WorkloadSpec's own seed is used unchanged (the
-     * historical bench behaviour).
-     */
-    bool deriveSeeds = true;
     /**
      * Called as each run completes (from worker threads, serialized
      * internally under a clustersim::Mutex -- see
@@ -202,6 +196,51 @@ std::string assembleSweepReport(const std::string &name,
  */
 void sweepRankingJson(JsonWriter &w,
                       const std::vector<ReportEntry> &entries);
+
+/**
+ * The figure summary of a finished sweep (tools/sweep prints it).
+ *
+ * Runs group by label prefix, the part of a label before its last '/'
+ * ("slow-hops/static-4" is in group "slow-hops"); labels without one
+ * share the unnamed group. Each group holds a benchmarks x labels IPC
+ * grid and, per label:
+ *  - vsFirst: the geomean IPC ratio over the group's first label;
+ *  - for a label with a controller, in a group with static labels
+ *    (points without a controller): the geomean speedup over the best
+ *    fixed static label (the one with the highest IPC geomean) and
+ *    over the per-benchmark best static label; NaN otherwise;
+ *  - the means across benchmarks of active clusters, leakage savings
+ *    (sim/energy) and avg_reg_comm_latency.
+ * Labels aggregate exactly as the tournament ranking's policies do.
+ */
+struct SweepSummary {
+    struct Label {
+        std::string label;
+        bool controller = false;
+        std::vector<double> ipc; ///< per group benchmark; NaN if absent
+        double ipcAmean = 0.0;
+        double ipcGeomean = 0.0;
+        double vsFirst = 1.0;
+        double vsBestFixed = 0.0;  ///< NaN when not applicable
+        double vsBestStatic = 0.0; ///< NaN when not applicable
+        double activeMean = 0.0;
+        double leakageSavingsMean = 0.0;
+        double regCommLatencyMean = 0.0;
+    };
+    struct Group {
+        std::string name; ///< label prefix; empty for unprefixed labels
+        std::vector<std::string> benchmarks;
+        std::vector<Label> labels;
+    };
+    std::vector<Group> groups;
+
+    /** Per group: the IPC table with AM and GM rows and each row's best
+     *  label, then the per-label table. */
+    std::string format() const;
+};
+
+SweepSummary summarizeSweep(const std::vector<RunPoint> &points,
+                            const SweepResult &res);
 
 /**
  * Sweep-level JSON report.

@@ -126,8 +126,8 @@ straightLine(const ProcessorConfig &cfg,
     return measureWindow(proc, measure);
 }
 
-/** A small grid whose points all share one stream (deriveSeeds=false),
- *  so two of them share one warmup identity. */
+/** A small grid whose points all share one stream (one seedTag), so
+ *  two of them share one warmup identity. */
 std::vector<RunPoint>
 sharedStreamPoints()
 {
@@ -146,6 +146,7 @@ sharedStreamPoints()
         if (controller)
             p.makeController = [] { return makeExploreController(); };
         p.controllerKey = key;
+        p.seedTag = "shared";
         points.push_back(std::move(p));
     };
     add("shared-a", 4000, 12000, false, "");
@@ -1032,7 +1033,6 @@ TEST(Checkpoint, ColdThenWarmSweepByteIdentical)
     std::vector<RunPoint> points = sharedStreamPoints();
     SweepOptions plain;
     plain.threads = 1;
-    plain.deriveSeeds = false;
     std::string baseline = sweepReportJson(
         "ckpt", points, runSweep(points, plain), false);
 
@@ -1103,7 +1103,6 @@ TEST(Checkpoint, CorruptStaleAndSaltedBlobsRecompute)
     std::vector<RunPoint> points = sharedStreamPoints();
     SweepOptions plain;
     plain.threads = 1;
-    plain.deriveSeeds = false;
     std::string baseline = sweepReportJson(
         "ckpt", points, runSweep(points, plain), false);
 
@@ -1126,7 +1125,8 @@ TEST(Checkpoint, CorruptStaleAndSaltedBlobsRecompute)
     // The recompute re-stored good blobs; now plant a stale-version
     // payload under a key the sweep will ask for. The store-level hash
     // is valid, so only the in-payload version stamp can reject it.
-    std::string key = store.keyFor(points[0], points[0].workload.seed);
+    std::string key =
+        store.keyFor(points[0], planPoints(points, true)[0].seed);
     ASSERT_FALSE(key.empty());
     auto good = store.load(key);
     ASSERT_TRUE(good.has_value());
@@ -1170,7 +1170,7 @@ TEST(Checkpoint, UndecodablePayloadsAreCorruptMisses)
         WarmupCheckpointStore fill(dir.path());
         opts.checkpoints = &fill;
         runSweep(points, opts);
-        std::vector<PlannedPoint> plan = planPoints(points, opts.deriveSeeds);
+        std::vector<PlannedPoint> plan = planPoints(points, true);
         for (std::size_t i = 0; i < points.size(); i++) {
             std::string key = fill.keyFor(points[i], plan[i].seed);
             std::optional<std::string> good = fill.load(key);

@@ -1257,7 +1257,6 @@ TEST(Registry, KeysKeepEveryDigitOfRealParameters)
 
 TEST(Registry, RejectsMalformedAndNegativeParameters)
 {
-    ScopedPanicRethrow guard; // a rejected parameter panics
     // "-1" once read as 2^64-1 for an unsigned parameter.
     EXPECT_THROW(makeController("ivl-explore", {{"interval", "-1"}}),
                  SimError);
@@ -1273,6 +1272,14 @@ TEST(Registry, RejectsMalformedAndNegativeParameters)
                  SimError);
     EXPECT_EQ(makeController("ivl-explore", {{"interval", "5000"}}).key,
               "ivl-explore{interval=5000;max-interval=10000000}");
+}
+
+TEST(Registry, UnknownPolicyAndParameterNamesThrow)
+{
+    // User errors: SimError, not an abort.
+    EXPECT_THROW(makeController("no-such-policy"), SimError);
+    EXPECT_THROW(makeController("ivl-explore", {{"intervl", "5000"}}),
+                 SimError);
 }
 
 TEST(Registry, HandleFactoryIsReusable)

@@ -1,8 +1,8 @@
 /**
  * @file
- * Unit tests for the sim layer: presets, the run driver, the
- * experiment-matrix helpers, phase statistics (Table 4 machinery), and
- * the leakage model.
+ * Unit tests for the sim layer: presets, the run driver, the sweep
+ * summary, phase statistics (Table 4 machinery), and the leakage
+ * model.
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include <cmath>
 
 #include "sim/energy.hh"
-#include "sim/experiment.hh"
 #include "sim/phase_stats.hh"
 #include "sim/presets.hh"
 #include "sim/simulation.hh"
@@ -128,47 +127,87 @@ TEST(Simulation, DeterministicResults)
 }
 
 // ---------------------------------------------------------------------------
-// Experiment matrix
+// Sweep summary
 // ---------------------------------------------------------------------------
 
-TEST(Experiment, MatrixShapeAndTable)
-{
-    std::vector<WorkloadSpec> workloads = {makeBenchmark("gzip")};
-    std::vector<Variant> variants = {
-        {"static-4", staticSubsetConfig(4), nullptr},
-        {"static-16", staticSubsetConfig(16), nullptr},
-    };
-    MatrixResult m = runMatrix(workloads, variants, 10000, 30000,
-                               /*verbose=*/false);
-    ASSERT_EQ(m.benchmarks.size(), 1u);
-    ASSERT_EQ(m.variants.size(), 2u);
-    EXPECT_GT(m.at(0, 0).ipc, 0.0);
-    EXPECT_GT(m.at(0, 1).ipc, 0.0);
+namespace {
 
-    Table t = ipcTable(m);
-    std::string out = t.format();
-    EXPECT_NE(out.find("gzip"), std::string::npos);
-    EXPECT_NE(out.find("static-4"), std::string::npos);
-    EXPECT_NE(out.find("AM"), std::string::npos);
+/**
+ * A finished two-benchmark sweep built by hand: labels base1 and base2
+ * are static, dyn has a controller; ipc[b][v] is benchmark b's IPC
+ * under label v.
+ */
+SweepSummary
+handSummary(const std::vector<std::vector<double>> &ipc)
+{
+    const char *labels[] = {"base1", "base2", "dyn"};
+    std::vector<RunPoint> points;
+    SweepResult res;
+    for (std::size_t b = 0; b < ipc.size(); b++) {
+        for (std::size_t v = 0; v < 3; v++) {
+            RunPoint p;
+            p.label = labels[v];
+            if (v == 2)
+                p.makeController = [] { return makeExploreController(); };
+            points.push_back(std::move(p));
+            SweepRun run;
+            run.result.benchmark = b == 0 ? "a" : "b";
+            run.result.config = labels[v];
+            run.result.ipc = ipc[b][v];
+            res.runs.push_back(std::move(run));
+        }
+    }
+    return summarizeSweep(points, res);
 }
 
-TEST(Experiment, SpeedupOverBestBaseline)
+} // namespace
+
+TEST(SweepSummary, TinySweepTablesEveryLabelAndBenchmark)
 {
-    MatrixResult m;
-    m.benchmarks = {"a", "b"};
-    m.variants = {"base1", "base2", "dyn"};
-    SimResult r;
-    auto mk = [&](double ipc) {
-        SimResult x;
-        x.ipc = ipc;
-        return x;
-    };
-    m.results = {{mk(1.0), mk(2.0), mk(2.2)},
-                 {mk(3.0), mk(1.0), mk(3.0)}};
-    (void)r;
+    std::vector<RunPoint> points;
+    for (int n : {4, 16}) {
+        RunPoint p;
+        p.label = "static-" + std::to_string(n);
+        p.cfg = staticSubsetConfig(n);
+        p.workload = makeBenchmark("gzip");
+        p.warmup = 10000;
+        p.measure = 30000;
+        points.push_back(std::move(p));
+    }
+    SweepOptions opts;
+    opts.threads = 1;
+    SweepSummary sum = summarizeSweep(points, runSweep(points, opts));
+    ASSERT_EQ(sum.groups.size(), 1u);
+    const SweepSummary::Group &g = sum.groups[0];
+    EXPECT_EQ(g.benchmarks, std::vector<std::string>{"gzip"});
+    ASSERT_EQ(g.labels.size(), 2u);
+    EXPECT_GT(g.labels[0].ipc[0], 0.0);
+    EXPECT_GT(g.labels[1].ipc[0], 0.0);
+    EXPECT_DOUBLE_EQ(g.labels[0].vsFirst, 1.0);
+    // No controller label: nothing is scored against the statics.
+    EXPECT_TRUE(std::isnan(g.labels[1].vsBestFixed));
+
+    std::string out = sum.format();
+    for (const char *word : {"gzip", "static-4", "static-16", "AM", "GM"})
+        EXPECT_NE(out.find(word), std::string::npos) << word;
+}
+
+TEST(SweepSummary, SpeedupOverPerBenchmarkBestStatic)
+{
     // dyn vs best(base1, base2): a: 2.2/2.0, b: 3.0/3.0.
-    double s = speedupOverBest(m, 2, {0, 1});
-    EXPECT_NEAR(s, std::sqrt(1.1 * 1.0), 1e-9);
+    SweepSummary sum = handSummary({{1.0, 2.0, 2.2}, {3.0, 1.0, 3.0}});
+    EXPECT_NEAR(sum.groups[0].labels[2].vsBestStatic,
+                std::sqrt(1.1 * 1.0), 1e-9);
+}
+
+TEST(SweepSummary, SpeedupOverBestFixedPicksSingleStatic)
+{
+    // base1 gm = sqrt(1*4) = 2.0, base2 gm = sqrt(2*2.5) ~ 2.24: base2
+    // is the best fixed static label.
+    // dyn vs base2: (2.0/2.0, 4.0/2.5) -> sqrt(1 * 1.6)
+    SweepSummary sum = handSummary({{1.0, 2.0, 2.0}, {4.0, 2.5, 4.0}});
+    EXPECT_NEAR(sum.groups[0].labels[2].vsBestFixed,
+                std::sqrt(1.0 * 1.6), 1e-9);
 }
 
 // ---------------------------------------------------------------------------
@@ -275,28 +314,6 @@ TEST(Energy, ClampsOutOfRange)
 {
     EXPECT_DOUBLE_EQ(relativeLeakage(20.0, 16), 1.0);
     EXPECT_GT(relativeLeakage(-1.0, 16), 0.0);
-}
-
-TEST(Experiment, SpeedupOverBestFixedPicksSingleBaseline)
-{
-    MatrixResult m;
-    m.benchmarks = {"a", "b"};
-    m.variants = {"base1", "base2", "dyn"};
-    auto mk = [](double ipc) {
-        SimResult x;
-        x.ipc = ipc;
-        return x;
-    };
-    // base1 geomean = sqrt(1*4) = 2; base2 geomean = sqrt(4*1) = 2 --
-    // tie broken by order (base1 kept only if strictly better, so
-    // base2 wins the >=... use distinct values instead.
-    m.results = {{mk(1.0), mk(2.0), mk(2.0)},
-                 {mk(4.0), mk(2.0), mk(4.0)}};
-    // base1 gm = 2.0, base2 gm = 2.0 -> equal; make base2 better:
-    m.results[1][1] = mk(2.5); // base2 gm = sqrt(2*2.5) ~ 2.24
-    // dyn vs base2: (2.0/2.0, 4.0/2.5) -> sqrt(1 * 1.6)
-    double s = speedupOverBestFixed(m, 2, {0, 1});
-    EXPECT_NEAR(s, std::sqrt(1.0 * 1.6), 1e-9);
 }
 
 TEST(PhaseStats, TooFewIntervalsIsNaNNotStable)

@@ -99,21 +99,24 @@ TEST(SweepSeed, DeterministicAndDecorrelated)
 
 TEST(SweepSeed, PresetGridSeedsUniqueNonzeroAndStable)
 {
-    // Across every run point of every named preset, distinct
-    // (base seed, benchmark, label) identities must map to distinct
-    // seeds, the same identity (benchmarks recur across presets) must
-    // map to the same seed, and no derived seed may be zero — a zero
-    // would collapse to the workload RNG's degenerate stream (the
-    // `h ? h : 1` fixup in sweepSeed exists for exactly this).
+    // Across every planned run point of every named preset, distinct
+    // (base seed, benchmark, tag or label) identities must map to
+    // distinct seeds, the same identity (benchmarks and tags recur
+    // across presets) must map to the same seed, and no derived seed
+    // may be zero — a zero would collapse to the workload RNG's
+    // degenerate stream (the `h ? h : 1` fixup in sweepSeed exists for
+    // exactly this).
     std::map<std::uint64_t, std::string> seen;
     for (const std::string &name : sweepPresetNames()) {
-        for (const RunPoint &p : makeSweepPreset(name)) {
-            std::string label = !p.label.empty() ? p.label : p.cfg.name;
-            std::uint64_t s =
-                sweepSeed(p.workload.seed, p.workload.name, label);
-            EXPECT_NE(s, 0u) << name << "/" << label;
-            std::string id = std::to_string(p.workload.seed) + "|" +
-                             p.workload.name + "|" + label;
+        std::vector<RunPoint> points = makeSweepPreset(name);
+        std::vector<PlannedPoint> plan = planPoints(points, true);
+        for (std::size_t i = 0; i < points.size(); i++) {
+            const RunPoint &p = points[i];
+            std::uint64_t s = plan[i].seed;
+            EXPECT_NE(s, 0u) << name << "/" << plan[i].label;
+            std::string id =
+                std::to_string(p.workload.seed) + "|" + p.workload.name +
+                "|" + (p.seedTag.empty() ? plan[i].label : p.seedTag);
             auto [it, inserted] = seen.emplace(s, id);
             EXPECT_TRUE(inserted || it->second == id)
                 << "seed collision between " << id << " and "
@@ -121,7 +124,9 @@ TEST(SweepSeed, PresetGridSeedsUniqueNonzeroAndStable)
         }
     }
     // Sanity: the grid really is large enough to make this meaningful.
-    EXPECT_GT(seen.size(), 100u);
+    // Per benchmark: table3's one label, fig3's four, smoke's two, the
+    // "paper" stream and the "tournament" stream.
+    EXPECT_EQ(seen.size(), 9u * (1 + 4 + 2 + 1 + 1));
 }
 
 // ---------------------------------------------------------------------------
@@ -454,6 +459,46 @@ TEST(Presets, SweepPresetShapes)
     EXPECT_EQ(makeSweepPreset("fig7").size(), 45u);
     EXPECT_EQ(makeSweepPreset("fig8").size(), 27u);
     EXPECT_EQ(makeSweepPreset("sensitivity").size(), 108u);
+    EXPECT_EQ(makeSweepPreset("commcost").size(), 54u);
+    EXPECT_EQ(makeSweepPreset("ablation").size(), 81u);
+}
+
+TEST(Presets, ComparisonPresetsRaceOneStreamPerBenchmark)
+{
+    // The paper compares every organization on the same program: in
+    // these presets all points of one benchmark plan one seed.
+    for (const char *name : {"fig5", "fig6", "fig7", "fig8", "sensitivity",
+                             "commcost", "ablation"}) {
+        std::vector<RunPoint> points = makeSweepPreset(name);
+        std::vector<PlannedPoint> plan = planPoints(points, true);
+        std::map<std::string, std::uint64_t> seed_of;
+        for (std::size_t i = 0; i < points.size(); i++) {
+            auto it =
+                seed_of.emplace(points[i].workload.name, plan[i].seed)
+                    .first;
+            EXPECT_EQ(it->second, plan[i].seed)
+                << name << ": " << points[i].workload.name << " "
+                << points[i].label;
+        }
+        EXPECT_EQ(seed_of.size(), 9u) << name;
+    }
+}
+
+TEST(Presets, EveryPresetRunsAndSummarizes)
+{
+    for (const std::string &name : sweepPresetNames()) {
+        std::vector<RunPoint> points = makeSweepPreset(name, 500, 1000);
+        SweepOptions opts;
+        opts.threads = 4;
+        SweepResult res = runSweep(points, opts);
+        std::string out = summarizeSweep(points, res).format();
+        for (const RunPoint &p : points) {
+            EXPECT_NE(out.find(p.label), std::string::npos)
+                << name << ": " << p.label;
+            EXPECT_NE(out.find(p.workload.name), std::string::npos)
+                << name << ": " << p.workload.name;
+        }
+    }
 }
 
 TEST(Presets, SweepPresetOverridesRunLengths)
@@ -718,21 +763,19 @@ tournamentOracle(const std::string &bench, std::uint64_t warmup,
     return {};
 }
 
-/** Measured cycles of every reactive candidate of `p`, each run as
- *  its own sweep point. */
+/** Measured cycles of every reactive candidate of `p`, each run on
+ *  the oracle's seed, which the candidate point carries. */
 KnownCycles
 reactiveCycles(const OraclePolicyParams &p)
 {
-    std::vector<RunPoint> cands;
-    for (const ReactiveCompetitor &c : reactiveCompetitors())
-        cands.push_back(reactiveCandidatePoint(p, c));
-    SweepOptions opts;
-    opts.threads = 1;
-    opts.deriveSeeds = false; // the candidate carries the oracle's seed
-    SweepResult res = runSweep(cands, opts);
     KnownCycles known;
-    for (std::size_t i = 0; i < cands.size(); i++)
-        known[cands[i].label] = res.runs[i].result.cycles;
+    for (const ReactiveCompetitor &c : reactiveCompetitors()) {
+        RunPoint cand = reactiveCandidatePoint(p, c);
+        std::unique_ptr<ReconfigController> ctrl = cand.makeController();
+        known[c.label] = runSimulation(cand.cfg, cand.workload, ctrl.get(),
+                                       cand.warmup, cand.measure)
+                             .cycles;
+    }
     return known;
 }
 
@@ -761,6 +804,20 @@ TEST(OraclePolicy, KnownCyclesThatDisagreeWithTheRerunThrow)
     winner->second -= 1;
     ScopedPanicRethrow rethrow;
     EXPECT_THROW(computeBestOracleSchedule(p, known), SimError);
+}
+
+TEST(OraclePolicy, MissingBenchAndUnknownKeysThrow)
+{
+    // Parameter errors are user errors: SimError, not an abort.
+    registerOraclePolicy();
+    EXPECT_THROW(makeController("oracle", {{"seed", "7"},
+                                           {"horizon", "5000"}}),
+                 SimError);
+    EXPECT_THROW(makeController("oracle", {{"bench", "swim"},
+                                           {"seed", "7"},
+                                           {"horizon", "5000"},
+                                           {"no-such-key", "1"}}),
+                 SimError);
 }
 
 TEST(OraclePolicy, ParamsFromKeyInvertsTheKey)

@@ -9,11 +9,15 @@
  *   sweep --list
  *
  * Per-run metrics are bit-identical for every --threads value: each
- * run point's workload RNG is seeded from its (benchmark, config)
- * pair, independent of scheduling order. The report logs total wall
- * clock, the serial-equivalent cpu time, and the observed speedup;
- * --no-timing drops those fields so the whole report file is
+ * run point's workload RNG is seeded from its benchmark and its label
+ * or seed tag, independent of scheduling order. The report logs total
+ * wall clock, the serial-equivalent cpu time, and the observed
+ * speedup; --no-timing drops those fields so the whole report file is
  * byte-identical across thread counts (CI diffs them).
+ *
+ * Once the report is written, the figure summary (summarizeSweep():
+ * IPC tables, speedups over the static labels, active clusters)
+ * follows on stderr.
  *
  * With --checkpoints, post-warmup machine states persist in a
  * warmup-checkpoint store: a second run of the same preset restores
@@ -174,6 +178,8 @@ main(int argc, char **argv)
         f << report << "\n";
     }
 
+    std::fprintf(stderr, "%s",
+                 summarizeSweep(points, res).format().c_str());
     std::string dest = out_path == "-" ? "" : " -> " + out_path;
     std::fprintf(stderr,
                  "sweep '%s': %zu runs on %d thread(s), wall %.2fs, "
