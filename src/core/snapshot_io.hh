@@ -19,22 +19,40 @@
  * the checkpoint store falls back to recomputing the warmup. Both
  * visitors are plain templates; no field costs a virtual call.
  *
- * The format is deliberately dumb: fixed-width little-endian scalars,
- * length-prefixed containers, no alignment, no compression. Every
- * payload starts with snapshotFormatVersion; readers reject any other
- * value, which is the "stale checkpoint -> silent recompute" lever (bump
- * the constant whenever the serialized layout or the simulated state it
- * captures changes shape). Integrity (corruption, truncation) is the
- * checkpoint store's job -- it hashes the payload -- so the reader only
- * needs to be *safe* on bad input, returning failure instead of reading
- * out of bounds.
+ * The format is a delta stream. Every scalar (integer, enum, boolean,
+ * a double's IEEE-754 bit pattern) is one 64-bit value, coded as the
+ * zigzag LEB128 varint of its difference from the previous scalar in
+ * the stream (the first from 0); a run of zero differences is one
+ * token, a 0x00 byte and the run's length as a varint. A string is its
+ * length as a varint, then its raw bytes; it interrupts zero runs and
+ * leaves the previous scalar as it was. Checkpoints are mostly arrays
+ * of one repeated value -- 1024-slot reservation windows and per-
+ * cluster "available at" cycles that are mostly neverCycle, which a
+ * plain varint would spend 10 bytes on -- so most of a payload
+ * collapses into short runs (docs/PERF.md, "The checkpoint codec",
+ * has the per-component sizes).
  *
- * Format 2 is the current one. A processor payload ends with two
- * blocks that the donor's kind decides: the trace source's, then the
- * controller's. A generator-fed processor's payload carries the
- * generator's state there (SyntheticWorkload::fields()), so a restore
- * resumes the stream instead of regenerating it; a replay-fed one
- * carries only the presence flag. Format 1 had no source block.
+ * The encoding is canonical, and the reader accepts only the canonical
+ * form: it rejects truncation, an overlong or over-64-bit varint, an
+ * empty zero run, two runs in a row, a run still unfinished at a
+ * string or at the end, a scalar too wide for its field, and trailing
+ * bytes. So an accepted payload re-serializes to exactly its own
+ * bytes. Every payload starts with snapshotFormatVersion; readers
+ * reject any other value, which is the "stale checkpoint -> silent
+ * recompute" lever (bump the constant whenever the encoding, the
+ * serialized layout or the simulated state it captures changes
+ * shape). Integrity (corruption, truncation) is the checkpoint store's
+ * job -- it hashes the payload -- so the reader only needs to be
+ * *safe* on bad input, returning failure instead of reading out of
+ * bounds.
+ *
+ * A processor payload ends with two blocks that the donor's kind
+ * decides: the trace source's, then the controller's. A generator-fed
+ * processor's payload carries the generator's state there
+ * (SyntheticWorkload::fields()), so a restore resumes the stream
+ * instead of regenerating it; a replay-fed one carries only the
+ * presence flag. Format 1 had no source block; format 2 wrote every
+ * scalar fixed-width.
  *
  * Determinism: writing the same Snapshot twice produces identical
  * bytes. Nothing here consults the host (clocks, pointers, locales);
@@ -46,8 +64,8 @@
 #ifndef CLUSTERSIM_CORE_SNAPSHOT_IO_HH
 #define CLUSTERSIM_CORE_SNAPSHOT_IO_HH
 
+#include <bit>
 #include <cstdint>
-#include <cstring>
 #include <optional>
 #include <string>
 #include <type_traits>
@@ -57,162 +75,181 @@ namespace clustersim {
 /**
  * Version stamp leading every serialized snapshot payload. Bump on any
  * layout change: old blobs then fail to load and are recomputed.
- * Format 2 added the trace source's block (see above).
+ * Format 2 added the trace source's block; format 3 is the delta
+ * stream (see above).
  */
-inline constexpr std::uint32_t snapshotFormatVersion = 2;
+inline constexpr std::uint32_t snapshotFormatVersion = 3;
 
-/** Append-only little-endian byte sink. */
+/** Append-only delta-stream sink (the encoding is described above). */
 class SnapshotWriter
 {
   public:
     void
-    u8(std::uint8_t v)
+    scalar(std::uint64_t v)
     {
+        const std::uint64_t d = v - prev_;
+        prev_ = v;
+        if (d == 0) {
+            zeros_++;
+            return;
+        }
+        flushZeros();
+        varint((d << 1) ^ (0 - (d >> 63))); // zigzag
+    }
+
+    void
+    str(const std::string &s)
+    {
+        flushZeros();
+        varint(s.size());
+        buf_.append(s);
+    }
+
+    std::string
+    take()
+    {
+        flushZeros();
+        return std::move(buf_);
+    }
+
+  private:
+    void
+    varint(std::uint64_t v)
+    {
+        for (; v >= 0x80; v >>= 7)
+            buf_.push_back(static_cast<char>(v | 0x80));
         buf_.push_back(static_cast<char>(v));
     }
 
     void
-    u32(std::uint32_t v)
+    flushZeros()
     {
-        char b[4];
-        for (int i = 0; i < 4; i++)
-            b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-        buf_.append(b, 4);
+        if (zeros_ == 0)
+            return;
+        buf_.push_back('\0');
+        varint(zeros_);
+        zeros_ = 0;
     }
 
-    void
-    u64(std::uint64_t v)
-    {
-        char b[8];
-        for (int i = 0; i < 8; i++)
-            b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-        buf_.append(b, 8);
-    }
-
-    void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-
-    void boolean(bool v) { u8(v ? 1 : 0); }
-
-    /** Doubles travel as their IEEE-754 bit pattern (exact). */
-    void
-    f64(double v)
-    {
-        std::uint64_t bits;
-        std::memcpy(&bits, &v, sizeof(bits));
-        u64(bits);
-    }
-
-    /** Length-prefixed string. */
-    void
-    str(const std::string &s)
-    {
-        u64(s.size());
-        buf_.append(s);
-    }
-
-    std::string take() { return std::move(buf_); }
-    std::size_t size() const { return buf_.size(); }
-
-  private:
     std::string buf_;
+    std::uint64_t prev_ = 0;
+    std::uint64_t zeros_ = 0;  ///< zero differences not yet written
 };
 
 /**
- * Bounds-checked little-endian byte source. Any out-of-bounds read
- * latches the fail flag and yields zeros; callers check ok() (and
- * atEnd(), for trailing garbage) rather than every read.
+ * Bounds-checked delta-stream source that accepts only the canonical
+ * encoding. Any malformed or out-of-range read latches the fail flag
+ * and yields zeros; callers check ok() (and atEnd(), for trailing
+ * bytes and an unfinished run) rather than every read.
  */
 class SnapshotReader
 {
   public:
-    explicit SnapshotReader(const std::string &data) : data_(data) {}
+    explicit SnapshotReader(const std::string &data)
+        : cur_(reinterpret_cast<const unsigned char *>(data.data())),
+          end_(cur_ + data.size())
+    {}
 
-    std::uint8_t
-    u8()
-    {
-        std::uint8_t v = 0;
-        take(&v, 1);
-        return v;
-    }
-
-    std::uint32_t
-    u32()
-    {
-        unsigned char b[4] = {};
-        if (!take(b, 4))
-            return 0;
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; i++)
-            v |= static_cast<std::uint32_t>(b[i]) << (8 * i);
-        return v;
-    }
-
+    /** The next scalar; one above max is rejected. */
     std::uint64_t
-    u64()
+    scalar(std::uint64_t max = ~std::uint64_t(0))
     {
-        unsigned char b[8] = {};
-        if (!take(b, 8))
+        if (zeros_ != 0)
+            zeros_--;
+        else if (!token())
             return 0;
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; i++)
-            v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-        return v;
+        return prev_ <= max ? prev_ : reject();
     }
 
-    std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-
-    /** Strict: any encoding other than 0/1 is corruption. */
-    bool
-    boolean()
-    {
-        std::uint8_t v = u8();
-        if (v > 1)
-            fail_ = true;
-        return v == 1;
-    }
-
-    double
-    f64()
-    {
-        std::uint64_t bits = u64();
-        double v;
-        std::memcpy(&v, &bits, sizeof(v));
-        return v;
-    }
-
+    /** A string of at most max_len bytes; no zero run may span it. */
     std::string
     str(std::uint64_t max_len = 4096)
     {
-        std::uint64_t n = u64();
-        if (n > max_len || n > data_.size() - pos_) {
-            fail_ = true;
+        std::uint64_t n = 0;
+        if (fail_ || zeros_ != 0 || !varint(n) || n > max_len ||
+            n > static_cast<std::uint64_t>(end_ - cur_)) {
+            reject();
             return {};
         }
-        std::string s = data_.substr(pos_, static_cast<std::size_t>(n));
-        pos_ += static_cast<std::size_t>(n);
+        afterRun_ = false;
+        std::string s(reinterpret_cast<const char *>(cur_),
+                      static_cast<std::size_t>(n));
+        cur_ += n;
         return s;
     }
 
     bool ok() const { return !fail_; }
-    /** All bytes consumed and no read ever failed. */
-    bool atEnd() const { return !fail_ && pos_ == data_.size(); }
-    void markFailed() { fail_ = true; }
+    /** All bytes consumed, no run left over, and no read ever failed. */
+    bool atEnd() const { return !fail_ && zeros_ == 0 && cur_ == end_; }
+    void markFailed() { reject(); }
 
   private:
-    bool
-    take(void *out, std::size_t n)
+    /** Latch failure; the stream yields only zeros from here on. */
+    std::uint64_t
+    reject()
     {
-        if (fail_ || n > data_.size() - pos_) {
-            fail_ = true;
+        fail_ = true;
+        zeros_ = 0;
+        return 0;
+    }
+
+    /**
+     * Apply the next token to prev_: a difference, or a zero run whose
+     * first zero this read consumes. False on a malformed token.
+     */
+    bool
+    token()
+    {
+        std::uint64_t t = 0;
+        if (fail_ || !varint(t))
+            return false;
+        if (t != 0) {
+            afterRun_ = false;
+            prev_ += (t >> 1) ^ (0 - (t & 1)); // un-zigzag
+            return true;
+        }
+        // A zero run: never empty, never split in two.
+        if (!varint(zeros_) || zeros_ == 0 || afterRun_) {
+            reject();
             return false;
         }
-        std::memcpy(out, data_.data() + pos_, n);
-        pos_ += n;
+        afterRun_ = true;
+        zeros_--;
         return true;
     }
 
-    const std::string &data_;
-    std::size_t pos_ = 0;
+    /** One minimal LEB128 varint of at most 64 bits. */
+    bool
+    varint(std::uint64_t &v)
+    {
+        const unsigned char *p = cur_;
+        if (p != end_ && *p < 0x80) {
+            v = *p;
+            cur_ = p + 1;
+            return true;
+        }
+        std::uint64_t x = 0;
+        for (unsigned shift = 0; p != end_ && shift < 64; shift += 7) {
+            const unsigned b = *p++;
+            x |= static_cast<std::uint64_t>(b & 0x7f) << shift;
+            if (b < 0x80) {
+                // Not overlong (a last group of 0), not past bit 63.
+                if (b == 0 || (shift == 63 && b > 1))
+                    break;
+                v = x;
+                cur_ = p;
+                return true;
+            }
+        }
+        reject(); // truncated or malformed
+        return false;
+    }
+
+    const unsigned char *cur_;
+    const unsigned char *end_;
+    std::uint64_t prev_ = 0;
+    std::uint64_t zeros_ = 0;  ///< zero differences still to yield
+    bool afterRun_ = false;    ///< the last token was a zero run
     bool fail_ = false;
 };
 
@@ -220,22 +257,25 @@ class SnapshotReader
  * The writing visitor, and the reference for the operations a fields()
  * list may call. Each operation names one member and what the reader
  * accepts for it; the writer ignores the bounds and appends the value.
+ * Every operation but a string writes scalars only, so the column on
+ * the right is what the reader range-checks, not a width on the wire.
  *
- *   u64(x)            unsigned integer, any value          (u64)
- *   u64(x, hi)        unsigned integer in [0, hi]          (u64)
- *   u32(x[, hi])      32-bit value, optionally in [0, hi]  (u32)
- *   u8(x, hi)         byte or enum in [0, hi]              (u8)
- *   i64(x)            std::int64_t, any value              (i64)
- *   i64(x, lo, hi)    signed integer in [lo, hi]           (i64)
- *   f64(x)            double, bit-exact                    (u64)
- *   boolean(x)        strictly 0 or 1                      (u8)
- *   expect(x)         the donor's value, verbatim: a container size
- *                     (u64), a counter width (u8), the format version
- *                     (u32), controller presence (u8) or name (string)
+ *   u64(x)            unsigned integer, any value that fits x
+ *   u64(x, hi)        unsigned integer in [0, hi]
+ *   u32(x[, hi])      32-bit value, optionally in [0, hi]
+ *   u8(x, hi)         byte or enum in [0, hi]             (<= 0xff)
+ *   i64(x)            std::int64_t, any value (two's complement bits)
+ *   i64(x, lo, hi)    signed integer in [lo, hi]
+ *   f64(x)            double, bit-exact (IEEE-754 bits)
+ *   boolean(x)        strictly 0 or 1
+ *   expect(x)         the donor's value, verbatim: a container size, a
+ *                     counter width, the format version, controller
+ *                     presence, or the controller's name (a string)
  *   check(cond)       cross-field constraint; writes nothing
- *   list(c, max, fn)  up to max elements, fn(element) each (u64 + ...)
- *   map(m, max, fn)   up to max entries, fn(key, value) each
- *   optional(o, fn)   presence flag, then fn(value)        (u8 + ...)
+ *   list(c, max, fn)  count up to max, then fn(element) each
+ *   map(m, max, fn)   count up to max, then fn(key, value) each, keys
+ *                     ascending
+ *   optional(o, fn)   presence flag, then fn(value)
  *   v(name, x)        a named report field (ProcessorStats)
  */
 class FieldWriter
@@ -256,36 +296,36 @@ class FieldWriter
     void
     u64(T &x)
     {
-        out_.u64(x);
+        out_.scalar(static_cast<std::uint64_t>(x));
     }
 
     template <class T>
     void
     u64(T &x, std::uint64_t)
     {
-        out_.u64(x);
+        out_.scalar(static_cast<std::uint64_t>(x));
     }
 
-    void u32(std::uint32_t &x, std::uint32_t = 0xffffffffu) { out_.u32(x); }
+    void u32(std::uint32_t &x, std::uint32_t = 0xffffffffu) { out_.scalar(x); }
 
     template <class T>
     void
     u8(T &x, unsigned)
     {
-        out_.u8(static_cast<std::uint8_t>(x));
+        out_.scalar(static_cast<std::uint8_t>(x));
     }
 
-    void i64(std::int64_t &x) { out_.i64(x); }
+    void i64(std::int64_t &x) { out_.scalar(static_cast<std::uint64_t>(x)); }
 
     template <class T>
     void
     i64(T &x, std::int64_t, std::int64_t)
     {
-        out_.i64(x);
+        out_.scalar(static_cast<std::uint64_t>(static_cast<std::int64_t>(x)));
     }
 
-    void f64(double &x) { out_.f64(x); }
-    void boolean(bool &x) { out_.boolean(x); }
+    void f64(double &x) { out_.scalar(std::bit_cast<std::uint64_t>(x)); }
+    void boolean(bool &x) { out_.scalar(x ? 1 : 0); }
 
     template <class T>
     void
@@ -294,13 +334,13 @@ class FieldWriter
         if constexpr (std::is_same_v<T, std::string>)
             out_.str(x);
         else if constexpr (std::is_same_v<T, bool>)
-            out_.boolean(x);
+            out_.scalar(x ? 1 : 0);
         else if constexpr (sizeof(T) == 1)
-            out_.u8(x);
+            out_.scalar(static_cast<std::uint8_t>(x));
         else if constexpr (sizeof(T) == 4)
-            out_.u32(x);
+            out_.scalar(static_cast<std::uint32_t>(x));
         else
-            out_.u64(x);
+            out_.scalar(static_cast<std::uint64_t>(x));
     }
 
     void check(bool) {}
@@ -309,7 +349,7 @@ class FieldWriter
     void
     list(C &c, std::uint64_t, Fn &&elem)
     {
-        out_.u64(c.size());
+        out_.scalar(c.size());
         for (auto &e : c)
             elem(e);
     }
@@ -318,7 +358,7 @@ class FieldWriter
     void
     map(M &m, std::uint64_t, Fn &&entry)
     {
-        out_.u64(m.size());
+        out_.scalar(m.size());
         for (auto &[k, val] : m) {
             auto key = k;
             entry(key, val);
@@ -329,7 +369,7 @@ class FieldWriter
     void
     optional(std::optional<T> &o, Fn &&elem)
     {
-        out_.boolean(o.has_value());
+        out_.scalar(o.has_value() ? 1 : 0);
         if (o)
             elem(*o);
     }
@@ -337,7 +377,6 @@ class FieldWriter
     void operator()(const char *, std::uint64_t &x) { u64(x); }
     void operator()(const char *, double &x) { f64(x); }
 
-    std::size_t size() const { return out_.size(); }
     std::string take() { return out_.take(); }
 
   private:
@@ -346,12 +385,13 @@ class FieldWriter
 
 /**
  * The reading visitor: loads each member in place and latches failure
- * on any value outside its declared bound, any shape that differs from
- * the donor's, a non-0/1 boolean, a failed check() or a short read. A
- * rejected value is not stored. Reading continues after a failure but
- * only ever yields zeros and empty lists, so the walk stays bounded;
- * callers test atEnd() once at the end, which also rejects trailing
- * bytes. A rejected load leaves the donor unusable.
+ * on any value outside its declared bound or its member's type, any
+ * shape that differs from the donor's, a non-0/1 boolean, a map key
+ * out of the writer's ascending order, a failed check() or a malformed
+ * stream. A rejected value is not stored. Reading continues after a
+ * failure but only ever yields zeros and empty lists, so the walk
+ * stays bounded; callers test atEnd() once at the end, which also
+ * rejects trailing bytes. A rejected load leaves the donor unusable.
  */
 class FieldReader
 {
@@ -362,56 +402,44 @@ class FieldReader
     void
     u64(T &x)
     {
-        x = static_cast<T>(in_.u64());
+        store(x, in_.scalar());
     }
 
     template <class T>
     void
     u64(T &x, std::uint64_t hi)
     {
-        std::uint64_t v = in_.u64();
-        if (v > hi)
-            in_.markFailed();
-        else
-            x = static_cast<T>(v);
+        store(x, in_.scalar(hi));
     }
 
     void
     u32(std::uint32_t &x, std::uint32_t hi = 0xffffffffu)
     {
-        std::uint32_t v = in_.u32();
-        if (v > hi)
-            in_.markFailed();
-        else
-            x = v;
+        x = static_cast<std::uint32_t>(in_.scalar(hi));
     }
 
     template <class T>
     void
     u8(T &x, unsigned hi)
     {
-        std::uint8_t v = in_.u8();
-        if (v > hi)
-            in_.markFailed();
-        else
-            x = static_cast<T>(v);
+        x = static_cast<T>(in_.scalar(hi < 0xff ? hi : 0xff));
     }
 
-    void i64(std::int64_t &x) { x = in_.i64(); }
+    void i64(std::int64_t &x) { x = static_cast<std::int64_t>(in_.scalar()); }
 
     template <class T>
     void
     i64(T &x, std::int64_t lo, std::int64_t hi)
     {
-        std::int64_t v = in_.i64();
+        const auto v = static_cast<std::int64_t>(in_.scalar());
         if (v < lo || v > hi)
             in_.markFailed();
         else
             x = static_cast<T>(v);
     }
 
-    void f64(double &x) { x = in_.f64(); }
-    void boolean(bool &x) { x = in_.boolean(); }
+    void f64(double &x) { x = std::bit_cast<double>(in_.scalar()); }
+    void boolean(bool &x) { x = in_.scalar(1) != 0; }
 
     template <class T>
     void
@@ -431,8 +459,7 @@ class FieldReader
     void
     list(C &c, std::uint64_t max, Fn &&elem)
     {
-        std::uint64_t n = in_.u64();
-        check(n <= max);
+        const std::uint64_t n = in_.scalar(max);
         c.clear();
         for (std::uint64_t i = 0; i < n && in_.ok(); ++i) {
             std::remove_reference_t<decltype(*c.begin())> e{};
@@ -445,14 +472,14 @@ class FieldReader
     void
     map(M &m, std::uint64_t max, Fn &&entry)
     {
-        std::uint64_t n = in_.u64();
-        check(n <= max);
+        const std::uint64_t n = in_.scalar(max);
         m.clear();
         for (std::uint64_t i = 0; i < n && in_.ok(); ++i) {
             typename M::key_type k{};
             typename M::mapped_type val{};
             entry(k, val);
-            m[k] = val;
+            check(m.empty() || m.rbegin()->first < k);
+            m.emplace_hint(m.end(), k, val);
         }
     }
 
@@ -460,7 +487,7 @@ class FieldReader
     void
     optional(std::optional<T> &o, Fn &&elem)
     {
-        if (in_.boolean()) {
+        if (in_.scalar(1) != 0) {
             T x{};
             elem(x);
             o = x;
@@ -476,6 +503,18 @@ class FieldReader
     bool atEnd() const { return in_.atEnd(); }
 
   private:
+    /** x = v, unless x's type cannot hold v: the writer never wrote it. */
+    template <class T>
+    void
+    store(T &x, std::uint64_t v)
+    {
+        const auto t = static_cast<T>(v);
+        if (static_cast<std::uint64_t>(t) != v)
+            in_.markFailed();
+        else
+            x = t;
+    }
+
     /** The next value in expect()'s encoding of T. */
     template <class T>
     T
@@ -484,13 +523,13 @@ class FieldReader
         if constexpr (std::is_same_v<T, std::string>)
             return in_.str();
         else if constexpr (std::is_same_v<T, bool>)
-            return in_.boolean();
+            return in_.scalar(1) != 0;
         else if constexpr (sizeof(T) == 1)
-            return in_.u8();
+            return static_cast<T>(in_.scalar(0xff));
         else if constexpr (sizeof(T) == 4)
-            return in_.u32();
+            return static_cast<T>(in_.scalar(0xffffffffu));
         else
-            return in_.u64();
+            return static_cast<T>(in_.scalar());
     }
 
     SnapshotReader in_;

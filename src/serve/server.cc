@@ -9,6 +9,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -167,6 +168,11 @@ SweepServer::run()
         int fd = ::accept(listenFd_, nullptr, nullptr);
         if (fd < 0)
             continue;
+        // A reply is a burst of small frames; with Nagle's algorithm
+        // each one after the first waits for the client's delayed ACK
+        // (about 40 ms on Linux).
+        int one = 1;
+        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
         auto conn = std::make_shared<Connection>(fd);
         {
             MutexLock lock(connsMutex_);

@@ -45,11 +45,11 @@ namespace clustersim {
  * snapshot layout; stale blobs then miss by construction. (The payload
  * additionally self-identifies via snapshotFormatVersion, so either
  * lever alone is sufficient -- the salt invalidates without reading
- * files, the version rejects blobs that slip through.) v2 goes with
- * snapshot format 2, whose payloads carry the generator's state.
+ * files, the version rejects blobs that slip through.) v3 goes with
+ * snapshot format 3, the delta-coded stream.
  */
 inline constexpr const char *defaultCheckpointSalt =
-    "clustersim-warmup-v2";
+    "clustersim-warmup-v3";
 
 using CheckpointStats = StoreStats;
 

@@ -32,6 +32,7 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <set>
@@ -39,6 +40,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -192,60 +194,73 @@ corruptAllBlobs(const std::string &dir)
 }
 
 /**
- * A FieldWriter that also notes, at the first visit of each bounded or
- * shape-checked field of a fields() list, where the field's bytes sit
- * and a value just outside what FieldReader accepts there. Writing that
- * value in place must make deserializeSnapshot() fail.
+ * A FieldWriter that notes each bounded or shape-checked fields() call
+ * site at its first visit or, given a `target` site, writes a value
+ * just outside what FieldReader accepts there at that site's first
+ * visit instead of the member's own. Re-encoding a snapshot with any
+ * one such value must make deserializeSnapshot() fail. With
+ * `noteAfter` set, sites count only after the unbounded u64 field at
+ * that address is written.
  */
 class BoundRecorder : public FieldWriter
 {
   public:
     using Where = std::source_location;
+    /** fields() call site (file, line) and which side of a range. */
+    using Site = std::tuple<const char *, unsigned, const char *>;
 
-    struct Patch {
-        std::size_t offset;
-        int width;            ///< bytes, little-endian
-        std::uint64_t value;
-        std::string site;     ///< fields() call site, and which side
-    };
+    explicit BoundRecorder(const void *noteAfter = nullptr,
+                           const Site *target = nullptr)
+        : noteAfter_(noteAfter), target_(target), noting_(!noteAfter)
+    {}
 
-    /** @param base Offset of this writer's first byte in the payload. */
-    explicit BoundRecorder(std::size_t base = 0) : base_(base) {}
+    /** Every site in first-visit order (when no target was given). */
+    std::vector<Site> sites;
 
-    std::vector<Patch> patches;
+    static std::string
+    describe(const Site &s)
+    {
+        return std::string(std::get<0>(s)) + ":" +
+               std::to_string(std::get<1>(s)) + std::get<2>(s);
+    }
 
     template <class T>
     void
     u64(T &x)
     {
         FieldWriter::u64(x);
+        if (&x == noteAfter_)
+            noting_ = true;
     }
 
     template <class T>
     void
     u64(T &x, std::uint64_t hi, Where w = Where::current())
     {
-        if (hi != ~std::uint64_t(0))
-            note(w, "", 8, hi + 1);
-        FieldWriter::u64(x, hi);
+        if (hi != ~std::uint64_t(0) && hit(w, ""))
+            scalar(hi + 1);
+        else
+            FieldWriter::u64(x, hi);
     }
 
     void
     u32(std::uint32_t &x, std::uint32_t hi = 0xffffffffu,
         Where w = Where::current())
     {
-        if (hi != 0xffffffffu)
-            note(w, "", 4, std::uint64_t(hi) + 1);
-        FieldWriter::u32(x, hi);
+        if (hi != 0xffffffffu && hit(w, ""))
+            scalar(std::uint64_t(hi) + 1);
+        else
+            FieldWriter::u32(x, hi);
     }
 
     template <class T>
     void
     u8(T &x, unsigned hi, Where w = Where::current())
     {
-        if (hi < 0xff)
-            note(w, "", 1, hi + 1);
-        FieldWriter::u8(x, hi);
+        if (hi < 0xff && hit(w, ""))
+            scalar(hi + 1);
+        else
+            FieldWriter::u8(x, hi);
     }
 
     void i64(std::int64_t &x) { FieldWriter::i64(x); }
@@ -254,69 +269,111 @@ class BoundRecorder : public FieldWriter
     void
     i64(T &x, std::int64_t lo, std::int64_t hi, Where w = Where::current())
     {
-        note(w, " above", 8, static_cast<std::uint64_t>(hi + 1));
-        note(w, " below", 8, static_cast<std::uint64_t>(lo - 1));
-        FieldWriter::i64(x, lo, hi);
+        const bool above = hit(w, " above");
+        const bool below = hit(w, " below");
+        if (above)
+            scalar(static_cast<std::uint64_t>(hi + 1));
+        else if (below)
+            scalar(static_cast<std::uint64_t>(lo - 1));
+        else
+            FieldWriter::i64(x, lo, hi);
     }
 
     void
     boolean(bool &x, Where w = Where::current())
     {
-        note(w, "", 1, 2);
-        FieldWriter::boolean(x);
+        if (hit(w, ""))
+            scalar(2);
+        else
+            FieldWriter::boolean(x);
     }
 
     template <class T>
     void
     expect(const T &x, Where w = Where::current())
     {
-        if constexpr (std::is_same_v<T, std::string>)
-            note(w, "", 1, static_cast<std::uint8_t>(x[0] ^ 1), 8);
+        if (!hit(w, ""))
+            FieldWriter::expect(x);
+        else if constexpr (std::is_same_v<T, std::string>)
+            FieldWriter::expect(static_cast<char>(x[0] ^ 1) + x.substr(1));
         else if constexpr (std::is_same_v<T, bool>)
-            note(w, "", 1, x ? 0 : 1);
+            FieldWriter::expect(!x);
         else
-            note(w, "", static_cast<int>(sizeof(T)),
-                 static_cast<std::uint64_t>(x) + 1);
-        FieldWriter::expect(x);
+            FieldWriter::expect(static_cast<T>(x + 1));
     }
 
     template <class C, class Fn>
     void
     list(C &c, std::uint64_t max, Fn &&elem, Where w = Where::current())
     {
-        note(w, "", 8, max + 1);
-        FieldWriter::list(c, max, elem);
+        if (!hit(w, "")) {
+            FieldWriter::list(c, max, elem);
+            return;
+        }
+        scalar(max + 1);
+        for (auto &e : c)
+            elem(e);
     }
 
     template <class M, class Fn>
     void
     map(M &m, std::uint64_t max, Fn &&entry, Where w = Where::current())
     {
-        note(w, "", 8, max + 1);
-        FieldWriter::map(m, max, entry);
+        if (!hit(w, "")) {
+            FieldWriter::map(m, max, entry);
+            return;
+        }
+        scalar(max + 1);
+        for (auto &[k, val] : m) {
+            auto key = k;
+            entry(key, val);
+        }
     }
 
     template <class T, class Fn>
     void
     optional(std::optional<T> &o, Fn &&elem, Where w = Where::current())
     {
-        note(w, "", 1, 2);
-        FieldWriter::optional(o, elem);
+        if (!hit(w, "")) {
+            FieldWriter::optional(o, elem);
+            return;
+        }
+        scalar(2);
+        if (o)
+            elem(*o);
     }
 
   private:
-    void
-    note(const Where &w, const char *side, int width, std::uint64_t value,
-         std::size_t skip = 0)
+    /** Note the site, or tell whether this is the target's first visit. */
+    bool
+    hit(const Where &w, const char *side)
     {
-        std::string site = std::string(w.file_name()) + ":" +
-                           std::to_string(w.line()) + side;
-        if (seen_.insert(site).second)
-            patches.push_back({base_ + size() + skip, width, value, site});
+        if (!noting_)
+            return false;
+        const Site site{w.file_name(), w.line(), side};
+        if (target_ == nullptr) {
+            if (seen_.insert(site).second)
+                sites.push_back(site);
+            return false;
+        }
+        if (done_ || site != *target_)
+            return false;
+        done_ = true;
+        return true;
     }
 
-    std::size_t base_;
-    std::set<std::string> seen_;
+    /** Every field is scalars on the wire, so one op writes any value. */
+    void
+    scalar(std::uint64_t v)
+    {
+        FieldWriter::u64(v);
+    }
+
+    const void *noteAfter_;
+    const Site *target_;
+    bool noting_;
+    bool done_ = false;
+    std::set<Site> seen_;
 };
 
 /** The stateful controllers' fields(), reached past the virtual hook. */
@@ -336,46 +393,67 @@ recordControllerBounds(ReconfigController &c, BoundRecorder &rec)
 }
 
 /**
- * Every bound patch of a snapshot's payload. With a generator state or
- * a controller, only the tail from the source-presence flag on: the
- * core's bounds are covered by the replay-fed, controller-less
- * machines. The tail is the source flag, the generator's state, the
- * controller flag, then the controller's name and state.
+ * Stand-ins for a snapshot's generator and controller while a
+ * BoundRecorder walks it. Snapshot::fields() reaches both through a
+ * virtual checkpoint(FieldWriter &) hook, which would write their
+ * fields past the recorder; these walk the same fields() lists through
+ * it.
  */
-std::vector<BoundRecorder::Patch>
-boundPatches(const Processor::Snapshot &s, const std::string &payload)
+class RecordedSource : public TraceSource
 {
-    BoundRecorder rec;
-    const_cast<Processor::Snapshot &>(s).fields(rec);
-    EXPECT_EQ(rec.take(), payload);
-    if (!s.source && !s.controller)
-        return rec.patches;
-    std::vector<BoundRecorder::Patch> out;
-    std::size_t tail = payload.size() - 1; // the controller flag
-    if (s.controller) {
-        FieldWriter state;
-        s.controller->checkpoint(state);
-        std::size_t base = payload.size() - state.size();
-        BoundRecorder crec(base);
-        recordControllerBounds(*s.controller, crec);
-        out.insert(out.end(), crec.patches.begin(), crec.patches.end());
-        tail = base - 8 - s.controller->name().size() - 1;
+  public:
+    explicit RecordedSource(SyntheticWorkload &gen) : gen_(gen) {}
+
+    MicroOp next() override { return gen_.next(); }
+    void reset() override {}
+    std::uint64_t position() const override { return gen_.position(); }
+
+    using TraceSource::checkpoint;
+    void
+    checkpoint(FieldWriter &v) override
+    {
+        gen_.fields(static_cast<BoundRecorder &>(v));
     }
-    if (s.source) {
-        FieldWriter state;
-        s.source->checkpoint(state);
-        const std::string bytes = state.take();
-        tail -= bytes.size();
-        BoundRecorder grec(tail);
-        dynamic_cast<SyntheticWorkload &>(*s.source).fields(grec);
-        EXPECT_EQ(grec.take(), bytes);
-        out.insert(out.end(), grec.patches.begin(), grec.patches.end());
+
+  private:
+    SyntheticWorkload &gen_;
+};
+
+class RecordedController : public ReconfigController
+{
+  public:
+    explicit RecordedController(ReconfigController &c) : c_(c) {}
+
+    void onCommit(const CommitEvent &) override {}
+    int targetClusters() const override { return c_.targetClusters(); }
+    std::string name() const override { return c_.name(); }
+
+    using ReconfigController::checkpoint;
+    void
+    checkpoint(FieldWriter &v) override
+    {
+        recordControllerBounds(c_, static_cast<BoundRecorder &>(v));
     }
-    tail -= 1; // the source flag
-    for (const BoundRecorder::Patch &p : rec.patches)
-        if (p.offset >= tail)
-            out.push_back(p);
-    return out;
+
+  private:
+    ReconfigController &c_;
+};
+
+/** serializeSnapshot(s), with every field written through rec. */
+std::string
+encodeThrough(Processor::Snapshot &s, BoundRecorder &rec)
+{
+    std::unique_ptr<TraceSource> src = std::move(s.source);
+    std::unique_ptr<ReconfigController> ctrl = std::move(s.controller);
+    if (src)
+        s.source = std::make_unique<RecordedSource>(
+            dynamic_cast<SyntheticWorkload &>(*src));
+    if (ctrl)
+        s.controller = std::make_unique<RecordedController>(*ctrl);
+    s.fields(rec);
+    s.source = std::move(src);
+    s.controller = std::move(ctrl);
+    return rec.take();
 }
 
 /** The next n ops of src, in their serialized form. */
@@ -386,15 +464,6 @@ nextOps(TraceSource &src, int n)
     for (int i = 0; i < n; i++)
         w.write(src.next());
     return w.take();
-}
-
-std::string
-applyPatch(std::string payload, const BoundRecorder::Patch &p)
-{
-    for (int i = 0; i < p.width; i++)
-        payload[p.offset + static_cast<std::size_t>(i)] =
-            static_cast<char>((p.value >> (8 * i)) & 0xff);
-    return payload;
 }
 
 } // namespace
@@ -496,9 +565,11 @@ TEST(Checkpoint, MalformedPayloadsRejected)
         return !deserializeSnapshot(p, donor);
     };
 
-    // Stale format version (the first little-endian u32).
+    // Stale format version. The version is the first scalar, coded as
+    // zigzag(3 - 0) = 6; a 4 there reads as format 2.
+    ASSERT_EQ(payload[0], '\x06');
     std::string stale = payload;
-    stale[0] = static_cast<char>(stale[0] ^ 0x01);
+    stale[0] = '\x04';
     EXPECT_TRUE(rejects(stale));
 
     // Truncation anywhere, including mid-field.
@@ -523,6 +594,94 @@ TEST(Checkpoint, MalformedPayloadsRejected)
     EXPECT_FALSE(rejects(payload));
 }
 
+TEST(Checkpoint, CodecAcceptsOnlyTheCanonicalStream)
+{
+    // The scalars 5 5 5, the string "ab", then 5 3 3 and 2^64 - 1
+    // twice: each scalar is the zigzag varint of its difference from
+    // the one before, zero differences collapse into one run token
+    // (0x00, then the count), and a string interrupts runs without
+    // moving the previous scalar.
+    const std::uint64_t top = ~std::uint64_t(0);
+    const std::vector<std::uint64_t> after = {5, 3, 3, top, top};
+    SnapshotWriter w;
+    for (int i = 0; i < 3; i++)
+        w.scalar(5);
+    w.str("ab");
+    for (std::uint64_t v : after)
+        w.scalar(v);
+    const std::string canonical = w.take();
+    EXPECT_EQ(canonical, std::string("\x0a\x00\x02\x02" "ab"
+                                     "\x00\x01\x03\x00\x01\x07\x00\x01",
+                                     14));
+
+    // Reads that layout back: true only for a whole, canonical stream
+    // holding exactly those values.
+    auto reads = [&](const std::string &bytes) {
+        SnapshotReader r(bytes);
+        bool same = true;
+        for (int i = 0; i < 3; i++)
+            same = r.scalar() == 5 && same;
+        same = r.str() == "ab" && same;
+        for (std::uint64_t v : after)
+            same = r.scalar() == v && same;
+        return r.atEnd() && same;
+    };
+    EXPECT_TRUE(reads(canonical));
+
+    auto with = [&](std::size_t at, std::size_t len, const char *bytes,
+                    std::size_t n) {
+        return canonical.substr(0, at) + std::string(bytes, n) +
+               canonical.substr(at + len);
+    };
+    // Overlong: 5 as two varint bytes, and the -4 difference coded past
+    // bit 63.
+    EXPECT_FALSE(reads(with(0, 1, "\x8a\x00", 2)));
+    EXPECT_FALSE(reads(
+        with(11, 1, "\x87\x80\x80\x80\x80\x80\x80\x80\x80\x02", 10)));
+    // An empty run, a run split in two, a run that spans the string,
+    // a run left unfinished at the end.
+    EXPECT_FALSE(reads(with(0, 0, "\x00\x00", 2)));
+    EXPECT_FALSE(reads(with(1, 2, "\x00\x01\x00\x01", 4)));
+    EXPECT_FALSE(reads(with(1, 2, "\x00\x03", 2)));
+    EXPECT_FALSE(reads(with(12, 2, "\x00\x02", 2)));
+    // Truncation and trailing bytes.
+    EXPECT_FALSE(reads(canonical.substr(0, canonical.size() - 1)));
+    EXPECT_FALSE(reads(canonical + '\x02'));
+    // A scalar above the reader's bound, or too wide for its member.
+    SnapshotReader bounded(canonical);
+    bounded.scalar(4);
+    EXPECT_FALSE(bounded.ok());
+    SnapshotWriter wide;
+    wide.scalar(std::uint64_t(1) << 40);
+    const std::string wideBytes = wide.take();
+    FieldReader narrow(wideBytes);
+    int member = 0;
+    narrow.u64(member);
+    EXPECT_FALSE(narrow.atEnd());
+
+    // A map's keys come in the writer's ascending order; a repeated or
+    // out-of-order key would be a second encoding of a smaller map.
+    auto mapLoads = [](std::initializer_list<int> keys) {
+        SnapshotWriter raw;
+        raw.scalar(keys.size());
+        for (int k : keys) {
+            raw.scalar(static_cast<std::uint64_t>(k));
+            raw.scalar(7);
+        }
+        const std::string bytes = raw.take();
+        std::map<int, std::uint64_t> m;
+        FieldReader r(bytes);
+        r.map(m, 8, [&](int &k, std::uint64_t &n) {
+            r.u64(k);
+            r.u64(n);
+        });
+        return r.atEnd();
+    };
+    EXPECT_TRUE(mapLoads({1, 3, 5}));
+    EXPECT_FALSE(mapLoads({3, 1, 5}));
+    EXPECT_FALSE(mapLoads({1, 3, 3}));
+}
+
 TEST(Checkpoint, SerializedBytesArePinned)
 {
     // The sha256 of serializeSnapshot() after a fixed short warmup,
@@ -531,10 +690,8 @@ TEST(Checkpoint, SerializedBytesArePinned)
     // buffer and once from the generator ("/generator": the payload
     // carries the generator's state). The digests change only with
     // the format, and a format change bumps snapshotFormatVersion and
-    // defaultCheckpointSalt on purpose. Format 2 added the source
-    // block; a replay-fed format-2 payload with its version word set
-    // back to 1 and its one-byte source block removed is the format-1
-    // payload, byte for byte.
+    // defaultCheckpointSalt on purpose. Format 3, the delta stream,
+    // re-pinned every digest.
     using Make = std::function<std::unique_ptr<ReconfigController>()>;
     const std::pair<const char *, Make> controllers[] = {
         {"static", nullptr},
@@ -564,57 +721,57 @@ TEST(Checkpoint, SerializedBytesArePinned)
     };
     const std::map<std::string, std::string> pinned = {
         {"ring/static",
-         "744f526e40b68837c66c20498ec9a2adc2521873e8c5645169250ddf83e06d4b"},
+         "b87771a2ace1799db6647ed1829af0b1b1ed7123dde03addaff6804760a32a13"},
         {"ring/static/generator",
-         "7b97c126665f4bf3117261533fb701f0c65d3f82133656a34b06861fa4651293"},
+         "f7bc31e1ba28ca1d61a421d5ca6a19a7c6a11b71fff9b419e9a597454a51b9f3"},
         {"ring/explore",
-         "fe9c38e3e3da2aa2b80c3bf408ba22a484e6d713dcff1ae1613d64b1128827a2"},
+         "89379a498192356f7c6cdc6fc0f2cda27482f650312bb44bc35b34151a3d9bc7"},
         {"ring/explore/generator",
-         "c0a1991352466824f55b5a14655aeb790d6096f9618e90d59ebea04d31e6b1c7"},
+         "0ff5f41eb6dbcadb53394dd200af240c6b91d9946fcba7f0c3e1f1e9c3809b49"},
         {"ring/ilp",
-         "da38ad57ef624d3cd12a2fdc7c3e638bac81ee1d7b6316e58775322ae72d56e2"},
+         "21f8e46b8ffc79a5f59152354fcc44a7c4175722196d9059e3058109876c23e7"},
         {"ring/ilp/generator",
-         "66c233383877313dff94cff4b35c84a009063c9a41aa1ff2b1f5eadb2bae4611"},
+         "cda590374eb7195873f0535c84dd611b0e7a14c31d8be339b9adb8a5bc73d9ff"},
         {"ring/finegrain",
-         "f72e8002560fb913be5dd152d9ae52b155b06166423f06150d59a22fd871e8c1"},
+         "a8d3dc879503d603b1a6d8bbeceb842003de36203604c2dbe59ce571b309ff3a"},
         {"ring/finegrain/generator",
-         "ce094b59245d1cf26a1303972fbbecd1f0dfaacd5bf9f7a549c5471a15aa3966"},
+         "409337f56eea85179e9983413c0d438553ffbec2233e9ba8d1515ad1fc62b4f8"},
         {"ring/ineffectuality",
-         "c26b292d9368c1e7e7dffb5471b1a169d56599f43293c8328e3e85f53c2afe9a"},
+         "cbd53bcf6a4fc85606e2928e059700882a55019e125a31f5ae51eb3da73d44de"},
         {"ring/ineffectuality/generator",
-         "dce526d0cfa6e17ae9d39b27571b221dee3e8c18732a86f170daff8923623b36"},
+         "cf3ed6b2f45f55e22b98a4f727b8c3f28791bb1763759277b61fa17e7ae9eb88"},
         {"ring/oracle",
-         "93fbc51b84814943f5d5175f9303819d8b244c7a04c5223f8652f9db6bc605c0"},
+         "603efff05dcbb92280d5b539862841f6148f113321cc05081eb529375ac2d020"},
         {"ring/oracle/generator",
-         "c91d26fddcf402252c5f32c3ec36524641b09806ad928a118327a7121db7bcb4"},
+         "2440dd43d9f383030b2d67b53f28b87723fb9eaa72b36ade9e765a152e70cdc6"},
         {"grid/static",
-         "d0f64c7faf5b18f7e2404a61b2fffeb424a56e55abcf9434796925149747fe9b"},
+         "566db085ffce1ced871685000468bde50fc372384d4fa17adda9ed7d582398ea"},
         {"grid/static/generator",
-         "94deca5710c70a0d64de02d9635bbedb8650a2ae227ed6c04a6c7f0753f06c11"},
+         "44ccef87f04116dce3c6d0967816a1bcbf5023df2aff165abb75ac9d82c5d173"},
         {"grid/explore",
-         "0e074cd29b4d4bae109a966da768b4e24175e74ba89d1b53d8b2eb27d33288b0"},
+         "1a49877e2c8f2da2bdec7a6226c31e51d0f482207eedbb16991db96d543837ef"},
         {"grid/explore/generator",
-         "9f09b66e55d1c7f20149a393429c2e45bc74e84324f1f9fb2f8d2c7b74202ec6"},
+         "7b6cc72bf5dc3b3440fd023b8309c29639138edcc46b84e3a2d3179d43d6fa1c"},
         {"grid/ilp",
-         "da1cf21d228f8f2de1c5ce56e73a4cf8d20023de2f6f1b77c9369d4544d3fe23"},
+         "8a142e08bbd3739b1a75c55fec69d85b35d37a884d3cb82e3c77720904c46567"},
         {"grid/ilp/generator",
-         "2c51930ad4a882264cf8ccdd023b25ca64beb796a51a6ec3840829f0e3694a20"},
+         "3860a0a8cf9da3c5b8c9fb88545097d6932eea1d6c63c26e4f1fd6a4874f9cd8"},
         {"grid/finegrain",
-         "e50d1ca7835e5ecd422279a1c89fd09cde5da7882bbd8a8cc2a63ee3c2709627"},
+         "9f5dab0481a7f78e7d079520d6cb9a99c0532768ba955734a122fc4c6131390d"},
         {"grid/finegrain/generator",
-         "957978946a5c554b4b69c129d4d7373da86dbc798d23bad6e350a3f4a20b552a"},
+         "6e21371a0cc399070b4116f1790e6174e2ee0364f150e1160ecd77733b69d819"},
         {"grid/ineffectuality",
-         "1c8e7b280f3c224a60551a3aca2e8e8d9ff0772de51b0cd8e5a7f01b4d0a4a91"},
+         "d900c058dbfa958ead124fb3d4d8093c0bdf3672da198c164a09c97abace43a7"},
         {"grid/ineffectuality/generator",
-         "f1aa778921ffdacef4147f6ed9d14b83347b19ce45fdb35e3ed25213e6a8b251"},
+         "cc6958732870cf76d0635094dcf772f9fd706cbb46dd07c4b22175db3397de39"},
         {"grid/oracle",
-         "82dc26f8b2d54efa73093803f8788c76e7084b7a8222a2d26877dd720dcf2d79"},
+         "4cc237b7aff1f9920993653165edb5c70adce31302d6edc65a1496ba4f972e2d"},
         {"grid/oracle/generator",
-         "a85c92ce03b5a34481d8c556dc307b1ad884b9e91fb9b2e54a6e0612798fca6b"},
+         "3b8005dc64d5f58ecd2cf29eef1a7498efb6fff84cb87ff95184849b35b07954"},
         {"monolithic/static",
-         "c10e7ab5d298509edb3740ba26439a3e0f26c8da5109aab9c162d0ea9e8a5d3a"},
+         "20a0fa27036fa2fa8f2045aa62ade0f807d55e2457b3c19381d86c34043a22aa"},
         {"monolithic/static/generator",
-         "e4e00f14b30a541cd0456fa012ee71dc5e0ef43ac16a289a285b23006c022519"},
+         "0258d3b7d27a196add3fbd71de7ab2b854d2a2e9eb59952dd4964cf9d7cab9fa"},
     };
 
     WorkloadSpec w = makeBenchmark("gzip");
@@ -679,12 +836,13 @@ TEST(Checkpoint, IndicesAreBoundedByTheDonorShape)
 
 TEST(Checkpoint, EveryDeclaredBoundRejects)
 {
-    // For each bounded or shape-checked field in a fields() list, a
-    // just-out-of-range value written in place of its bytes must fail
-    // the load. The replay-fed, controller-less machines cover the core
-    // (the centralized ring, the decentralized grid and a monolithic
-    // machine); the controller cases cover each controller's state, and
-    // the generator-fed cases the generator's.
+    // For each bounded or shape-checked field in a fields() list, the
+    // snapshot re-encoded with a just-out-of-range value in that
+    // field's place must fail the load. The replay-fed, controller-less
+    // machines cover the core (the centralized ring, the decentralized
+    // grid and a monolithic machine); the controller cases cover each
+    // controller's state, and the generator-fed cases the generator's:
+    // those note sites only from the source-presence flag on.
     using Make = std::function<std::unique_ptr<ReconfigController>()>;
     struct Case {
         const char *name;
@@ -727,23 +885,25 @@ TEST(Checkpoint, EveryDeclaredBoundRejects)
         Processor proc(c.cfg, src, ctrl.get());
         proc.run(kWarmup);
         Processor::Snapshot snap = proc.snapshot();
-        std::string payload = serializeSnapshot(snap);
+        const void *tail =
+            c.make || c.generator ? &snap.tracePosition : nullptr;
 
-        std::vector<BoundRecorder::Patch> patches =
-            boundPatches(snap, payload);
-        ASSERT_FALSE(patches.empty());
-        for (const BoundRecorder::Patch &p : patches) {
-            ASSERT_LE(p.offset + static_cast<std::size_t>(p.width),
-                      payload.size());
+        BoundRecorder plain(tail);
+        const std::string payload = encodeThrough(snap, plain);
+        ASSERT_EQ(payload, serializeSnapshot(snap));
+        ASSERT_FALSE(plain.sites.empty());
+        for (const BoundRecorder::Site &site : plain.sites) {
+            BoundRecorder rec(tail, &site);
+            const std::string bad = encodeThrough(snap, rec);
             Processor::Snapshot donor = proc.snapshot();
-            EXPECT_FALSE(deserializeSnapshot(applyPatch(payload, p), donor))
-                << p.site << " at byte " << p.offset;
+            EXPECT_FALSE(deserializeSnapshot(bad, donor))
+                << BoundRecorder::describe(site);
             patched++;
         }
         Processor::Snapshot donor = proc.snapshot();
         EXPECT_TRUE(deserializeSnapshot(payload, donor));
     }
-    // Each list's first visit is recorded, so this counts fields() call
+    // Each list's first visit is noted, so this counts fields() call
     // sites (both sides of a signed range count twice).
     EXPECT_GE(patched, 100u);
 }

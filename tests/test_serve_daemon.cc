@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -424,6 +426,34 @@ TEST_F(ServeDaemon, ConformanceColdWarmByteIdenticalToCli)
     EXPECT_EQ(warm.computed, 0u);
     for (const std::string &src : warm.sources)
         EXPECT_EQ(src, "cache");
+}
+
+TEST_F(ServeDaemon, CachedResubmitsAreNotHeldByDelayedAcks)
+{
+    // A cached job's reply is a burst of small frames: accepted, one
+    // point frame per point, done. With Nagle's algorithm on the
+    // daemon's socket, every frame after the first waits for the
+    // client's delayed ACK, about 40 ms per job. A ping cannot show
+    // this: its reply is one frame.
+    TestClient c(port_);
+    c.expectHello();
+    const std::string job = submitFrame("smoke", 200, 500);
+    ASSERT_EQ(runSubmit(c, job).status, "ok");
+
+    std::vector<double> ms;
+    for (int i = 0; i < 10; i++) {
+        const auto start = std::chrono::steady_clock::now();
+        SubmitOutcome hit = runSubmit(c, job);
+        ms.push_back(std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - start)
+                         .count());
+        ASSERT_EQ(hit.status, "ok");
+        EXPECT_EQ(hit.computed, 0u);
+    }
+    std::sort(ms.begin(), ms.end());
+    const double median = (ms[4] + ms[5]) / 2;
+    EXPECT_LT(median, 20.0) << "submit -> done of a cache hit, median of "
+                            << ms.size() << " on one connection";
 }
 
 TEST_F(ServeDaemon, MalformedFramesGetStructuredErrorsNeverACrash)

@@ -41,6 +41,7 @@
 #include <arpa/inet.h>
 #include <dirent.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -92,6 +93,9 @@ class Client
                       sizeof(addr)) != 0)
             fatal("sweepc: connect 127.0.0.1:", port, ": ",
                   std::strerror(errno));
+        // Frames go out as they are written, not held for an ACK.
+        int one = 1;
+        ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     }
 
     ~Client()
