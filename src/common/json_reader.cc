@@ -214,8 +214,8 @@ class Parser
     {
         skipWs();
         switch (peek()) {
-          case '{': return parseObject();
-          case '[': return parseArray();
+          case '{':
+          case '[': return parseNested();
           case '"': return JsonValue::makeString(parseString());
           case 't':
             if (!consumeWord("true"))
@@ -232,6 +232,19 @@ class Parser
           default:
             return parseNumber();
         }
+    }
+
+    /** An object or array, one level deeper than its parent. */
+    JsonValue
+    parseNested()
+    {
+        if (depth_ == maxJsonDepth)
+            err(detail::concat("nesting deeper than ", maxJsonDepth,
+                               " levels"));
+        depth_++;
+        JsonValue v = peek() == '{' ? parseObject() : parseArray();
+        depth_--;
+        return v;
     }
 
     JsonValue
@@ -391,6 +404,7 @@ class Parser
 
     const std::string &text_;
     std::size_t pos_ = 0;
+    std::size_t depth_ = 0; ///< objects and arrays open at pos_
 };
 
 } // namespace

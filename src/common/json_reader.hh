@@ -13,6 +13,7 @@
 #ifndef CLUSTERSIM_COMMON_JSON_READER_HH
 #define CLUSTERSIM_COMMON_JSON_READER_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -76,7 +77,16 @@ class JsonValue
     std::map<std::string, JsonValue> obj_;
 };
 
-/** Parse a complete document; fatal() (SimError) on malformed input. */
+/**
+ * Deepest nesting of arrays and objects parseJson() accepts. The
+ * parser recurses once per level, so the bound keeps its stack small
+ * on any input (a protocol frame of a hundred thousand '[' among
+ * them). Reports nest about six deep.
+ */
+inline constexpr std::size_t maxJsonDepth = 512;
+
+/** Parse a complete document; fatal() (SimError) on malformed input,
+ *  including nesting deeper than maxJsonDepth. */
 JsonValue parseJson(const std::string &text);
 
 } // namespace clustersim

@@ -5,6 +5,7 @@
 #include "common/json_reader.hh"
 #include "common/logging.hh"
 #include "common/sha256.hh"
+#include "core/params.hh"
 
 namespace clustersim {
 namespace serve {
@@ -70,8 +71,12 @@ parseRequest(const std::string &line)
                 if (!ov.isObject())
                     return parseError("bad_request",
                                       "'overrides' must be an object");
-                out.req.submit.activeClusters = static_cast<int>(
-                    u64Member(ov, "active_clusters", 0));
+                std::uint64_t active = u64Member(ov, "active_clusters", 0);
+                if (active > static_cast<std::uint64_t>(maxClusters))
+                    return parseError("bad_request",
+                                      "'active_clusters' must be at most " +
+                                          std::to_string(maxClusters));
+                out.req.submit.activeClusters = static_cast<int>(active);
             }
             return out;
         }

@@ -36,9 +36,11 @@ struct SubmitRequest {
     std::uint64_t measure = 0;   ///< 0 = preset default
     /**
      * Optional override of every point's activeClustersAtReset
-     * (0 = none). Primarily an operational/testing lever: an invalid
-     * value makes each point fail at processor construction, which is
-     * how the conformance rig exercises in-stream point failures.
+     * (0 = none; parseRequest() rejects values above maxClusters).
+     * Primarily an operational/testing lever: a value too small for
+     * the architectural registers (1) makes each point fail at
+     * processor construction, which is how the conformance rig
+     * exercises in-stream point failures.
      */
     int activeClusters = 0;
 };

@@ -1,7 +1,9 @@
 #include "sim/oracle_policy.hh"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "common/logging.hh"
@@ -156,28 +158,26 @@ oracleWorkload(const OraclePolicyParams &p)
  * stream: the committed stream is configuration-independent here
  * (fetch-gated mispredicts, no wrong-path commits), so the rows of
  * every probe are aligned at the same committed-instruction
- * boundaries. `cycles[k]` receives each probe run's measured total.
+ * boundaries. `runs[k]` receives each probe's measured run.
  */
 std::vector<std::vector<TimeSeriesRow>>
-runFixedProbes(const OraclePolicyParams &p,
-               std::vector<std::uint64_t> &cycles)
+runFixedProbes(const OraclePolicyParams &p, std::vector<SimResult> &runs)
 {
     WorkloadSpec w = oracleWorkload(p);
     std::vector<std::vector<TimeSeriesRow>> rows;
     for (int c : p.configs) {
         RecordingProbeController probe(c, p.interval);
-        SimResult r = runSimulation(clusteredConfig(maxClusters), w,
-                                    &probe, p.warmup,
-                                    p.horizon - p.warmup);
+        runs.push_back(runSimulation(clusteredConfig(maxClusters), w,
+                                     &probe, p.warmup,
+                                     p.horizon - p.warmup));
         rows.push_back(probe.rows());
-        cycles.push_back(r.cycles);
     }
     return rows;
 }
 
 /** Run one reactive competitor on the oracle's stream, recording its
- *  per-commit trajectory; returns its measure-window cycles. */
-std::uint64_t
+ *  per-commit trajectory. */
+SimResult
 runReactiveCandidate(const OraclePolicyParams &p,
                      const ReactiveCompetitor &c, std::vector<int> &targets)
 {
@@ -186,7 +186,24 @@ runReactiveCandidate(const OraclePolicyParams &p,
     SimResult r = runSimulation(pt.cfg, pt.workload, &probe, pt.warmup,
                                 pt.measure);
     targets = probe.targets();
-    return r.cycles;
+    return r;
+}
+
+/** The run point every candidate races as, under `label` with the
+ *  controller of `h`. */
+RunPoint
+racePoint(const OraclePolicyParams &p, std::string label,
+          ControllerHandle h)
+{
+    RunPoint pt;
+    pt.label = std::move(label);
+    pt.cfg = clusteredConfig(maxClusters);
+    pt.workload = oracleWorkload(p);
+    pt.makeController = std::move(h.make);
+    pt.controllerKey = std::move(h.key);
+    pt.warmup = p.warmup;
+    pt.measure = p.horizon - p.warmup;
+    return pt;
 }
 
 } // namespace
@@ -208,16 +225,13 @@ RunPoint
 reactiveCandidatePoint(const OraclePolicyParams &p,
                        const ReactiveCompetitor &c)
 {
-    ControllerHandle h = makeController(c.policy, c.params);
-    RunPoint pt;
-    pt.label = c.label;
-    pt.cfg = clusteredConfig(maxClusters);
-    pt.workload = oracleWorkload(p);
-    pt.makeController = std::move(h.make);
-    pt.controllerKey = std::move(h.key);
-    pt.warmup = p.warmup;
-    pt.measure = p.horizon - p.warmup;
-    return pt;
+    return racePoint(p, c.label, makeController(c.policy, c.params));
+}
+
+RunPoint
+oracleRunPoint(const OraclePolicyParams &p)
+{
+    return racePoint(p, "oracle", makeOracleHandle(p));
 }
 
 std::optional<OraclePolicyParams>
@@ -274,86 +288,71 @@ oracleParamsFromKey(const std::string &key)
     return p;
 }
 
-OracleSchedule
-computeBestOracleSchedule(const OraclePolicyParams &p,
-                          const KnownCycles &known)
+OracleRace
+raceOracle(const OraclePolicyParams &p, const KnownRuns &known)
 {
     checkOracleParams(p);
     WorkloadSpec w = oracleWorkload(p);
     ProcessorConfig cfg = clusteredConfig(maxClusters);
 
-    const std::uint64_t measure = p.horizon - p.warmup;
-    std::uint64_t best_cycles = ~std::uint64_t(0);
-    OracleSchedule best;
-    // The leader when it is a known reactive candidate whose
-    // trajectory has not been recorded yet.
-    const ReactiveCompetitor *unrecorded = nullptr;
-    auto consider = [&](std::uint64_t cycles, OracleSchedule candidate,
-                        const ReactiveCompetitor *known_competitor) {
+    std::optional<OracleRace> best;
+    auto consider = [&](SimResult run, OracleSchedule schedule) {
         // Strict '<' in consideration order: fixed configurations
         // ascending, then the DP mixture, then the reactive
         // trajectories. Ties go to the earliest (simplest) candidate.
-        if (cycles < best_cycles) {
-            best_cycles = cycles;
-            best = std::move(candidate);
-            unrecorded = known_competitor;
-        }
+        if (!best || run.cycles < best->run.cycles)
+            best = OracleRace{std::move(schedule), std::move(run)};
     };
 
     // Fixed-configuration probes: their rows feed the DP, and each run
     // competes directly as a constant schedule. All probes score on
     // measure-window cycles (commits past p.warmup), the window the
     // run point reports.
-    std::vector<std::uint64_t> fixed_cycles;
-    std::vector<std::vector<TimeSeriesRow>> rows =
-        runFixedProbes(p, fixed_cycles);
+    std::vector<SimResult> fixed;
+    std::vector<std::vector<TimeSeriesRow>> rows = runFixedProbes(p, fixed);
     for (std::size_t k = 0; k < p.configs.size(); k++)
-        consider(fixed_cycles[k], {p.interval, {p.configs[k]}}, nullptr);
+        consider(std::move(fixed[k]), {p.interval, {p.configs[k]}});
 
     // The DP's cost is a prediction stitched from per-probe rows
     // (cross-interval state differs in a composed run), so the mixture
-    // competes on a measured replay, same as everything else.
+    // competes on a measured replay, same as everything else. A
+    // constant schedule replays its configuration's probe exactly, and
+    // that probe ranks ahead of it, so it cannot win.
     std::vector<int> dp =
         solveOracleSchedule(p.configs, rows, p.penaltyCycles);
-    if (!dp.empty()) {
+    if (std::adjacent_find(dp.begin(), dp.end(),
+                           std::not_equal_to<int>()) != dp.end()) {
         OracleController replay(p.interval, dp);
-        SimResult r = runSimulation(cfg, w, &replay, p.warmup, measure);
-        consider(r.cycles, {p.interval, std::move(dp)}, nullptr);
+        consider(runSimulation(cfg, w, &replay, p.warmup,
+                               p.horizon - p.warmup),
+                 {p.interval, std::move(dp)});
     }
 
     // Every reactive competitor is a candidate on the oracle's stream;
     // its recorded trajectory is a per-commit schedule whose replay
     // reproduces the run exactly. The winner therefore bounds the
-    // whole reactive field from above by construction.
+    // whole reactive field from above by construction. A known run is
+    // that very run, so it competes, and wins, as it is.
     for (const ReactiveCompetitor &c : reactiveCompetitors()) {
         auto it = known.find(c.label);
         if (it != known.end()) {
-            consider(it->second, {}, &c);
+            consider(it->second, {});
             continue;
         }
         std::vector<int> targets;
-        std::uint64_t cycles = runReactiveCandidate(p, c, targets);
-        consider(cycles, {1, std::move(targets)}, nullptr);
-    }
-    if (unrecorded) {
-        std::vector<int> targets;
-        std::uint64_t cycles = runReactiveCandidate(p, *unrecorded,
-                                                    targets);
-        CSIM_ASSERT(cycles == best_cycles, "oracle: ",
-                    unrecorded->label, " re-run takes ", cycles,
-                    " cycles, its known run ", best_cycles);
-        best = {1, std::move(targets)};
+        SimResult run = runReactiveCandidate(p, c, targets);
+        consider(std::move(run), {1, std::move(targets)});
     }
 
-    CSIM_ASSERT(!best.targets.empty());
-    return best;
+    CSIM_ASSERT(best.has_value());
+    return std::move(*best);
 }
 
 std::unique_ptr<ReconfigController>
-makeOracleController(const OraclePolicyParams &p,
-                     const KnownCycles &known)
+makeOracleController(const OraclePolicyParams &p)
 {
-    OracleSchedule s = computeBestOracleSchedule(p, known);
+    OracleSchedule s = raceOracle(p).schedule;
+    CSIM_ASSERT(!s.targets.empty());
     return std::make_unique<OracleController>(s.slotLength,
                                               std::move(s.targets));
 }

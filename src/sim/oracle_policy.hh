@@ -21,15 +21,20 @@
  * policy by construction while the DP component lets it beat them all
  * wherever an interval-grained mixture wins.
  *
- * A reactive candidate's run is the very run of the tournament point
- * that races the same policy on the same stream. runSweep()
- * (sim/sweep.hh) therefore schedules oracle points after their sibling
- * points and passes the siblings' measured cycles in, so the oracle's
- * own task simulates only the fixed probes and the DP replay; a known
- * candidate runs again only if it wins, to record its trajectory. A
- * handle's factory has no siblings (a served one-point task, a direct
- * make()) and runs every candidate. The schedule is the same either
- * way.
+ * Every candidate's measured run is, field for field, the run that
+ * replaying its schedule gives, so the race keeps the runs:
+ * raceOracle() returns the winning schedule with its run. A reactive
+ * candidate's run is also the very run of the tournament point that
+ * races the same policy on the same stream. runSweep() (sim/sweep.hh)
+ * therefore schedules oracle points after their sibling points, passes
+ * the siblings' runs in, and reports the winner's run as the oracle
+ * point's own: the oracle's task simulates only the fixed probes and
+ * the DP replay, and never a winner again. An oracle point with no
+ * siblings (a served one-point task) races all ten candidates the same
+ * way. A constant DP schedule would replay the fixed probe ranked
+ * ahead of it, so it is not replayed. A handle's factory (for a caller
+ * that runs the point itself) races every candidate to record the
+ * winning schedule; the schedule is the same either way.
  *
  * registerOraclePolicy() publishes the policy as "oracle" in the
  * controller registry (reconfig/registry.hh). Building a handle is
@@ -103,6 +108,15 @@ const std::vector<ReactiveCompetitor> &reactiveCompetitors();
 RunPoint reactiveCandidatePoint(const OraclePolicyParams &p,
                                 const ReactiveCompetitor &c);
 
+/**
+ * The oracle's own run point: the candidates' machine, stream and
+ * window, with the oracle's controller (makeOracleHandle(p)). A sweep
+ * point with pointIdentityKey() equal to this point's (under the sweep
+ * point's label and `p.seed`) is the point every candidate races as,
+ * so the race's winning run is that point's run.
+ */
+RunPoint oracleRunPoint(const OraclePolicyParams &p);
+
 /** Canonical key of the oracle with these params (its handle's key). */
 std::string oracleKey(const OraclePolicyParams &p);
 
@@ -120,32 +134,42 @@ struct OracleSchedule {
     std::vector<int> targets;
 };
 
-/** Measure-window cycles of reactive candidates measured elsewhere on
- *  the oracle's stream, by competitor label. */
-using KnownCycles = std::map<std::string, std::uint64_t>;
+/** Runs of reactive candidates measured elsewhere on the oracle's
+ *  stream (the sweep points that race them), by competitor label. */
+using KnownRuns = std::map<std::string, SimResult>;
+
+/** The winner of raceOracle(). */
+struct OracleRace {
+    /** The winning schedule. Its targets are empty when the winner is
+     *  a known run, whose trajectory was never recorded. */
+    OracleSchedule schedule;
+    /** The winner's measured run, field for field the run that
+     *  replaying `schedule` on oracleRunPoint(p) gives; its config is
+     *  the candidate's own. */
+    SimResult run;
+};
 
 /**
  * The best-of oracle: race the DP schedule, every fixed configuration,
  * and every reactive competitor's recorded trajectory over the horizon
- * on the oracle point's own stream, and return the schedule with the
+ * on the oracle point's own stream, and return the candidate with the
  * fewest measured cycles. Ties resolve to the earliest candidate in a
  * fixed order (fixed configs ascending, then the DP mixture, then the
  * reactive trajectories). A competitor in `known` is scored on its
- * given cycles instead of being simulated; if it wins, it is re-run to
- * record its trajectory, and its cycles must match (asserted).
- * Deterministic in the params: `known` changes only the work done.
+ * given run instead of being simulated, and if it wins that run is the
+ * result. A constant DP schedule is not replayed: it would replay the
+ * fixed probe ahead of it. Deterministic in the params: `known`
+ * changes only the work done and whether a schedule is recorded.
  */
-OracleSchedule computeBestOracleSchedule(const OraclePolicyParams &p,
-                                         const KnownCycles &known = {});
+OracleRace raceOracle(const OraclePolicyParams &p,
+                      const KnownRuns &known = {});
 
-/** The oracle controller replaying computeBestOracleSchedule(p,
- *  known). */
+/** The oracle controller replaying raceOracle(p)'s schedule. */
 std::unique_ptr<ReconfigController>
-makeOracleController(const OraclePolicyParams &p,
-                     const KnownCycles &known = {});
+makeOracleController(const OraclePolicyParams &p);
 
 /** Handle for an oracle controller with the given identity. Building
- *  it is cheap; its factory runs every candidate on each call. */
+ *  it is cheap; its factory races every candidate on each call. */
 ControllerHandle makeOracleHandle(const OraclePolicyParams &p);
 
 /** Idempotently register "oracle" in the controller registry. Params:

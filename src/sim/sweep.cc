@@ -105,7 +105,11 @@ struct OracleJob {
  * The oracle points of a sweep, each with its siblings: the points
  * whose identity equals one of its reactive candidates. Such a point
  * runs the very simulation the candidate would, so the oracle reads its
- * measured cycles instead of repeating it. nullopt for other points.
+ * run instead of repeating it. A point is an oracle job only when it
+ * is the race's own run point (oracleRunPoint()), so the race's winning
+ * run is its run; any other point with an oracle key (say, one whose
+ * machine a served override changed) runs through its handle like
+ * every controller point. nullopt for every point but a job.
  */
 std::vector<std::optional<OracleJob>>
 planOracleJobs(const std::vector<RunPoint> &points,
@@ -116,10 +120,15 @@ planOracleJobs(const std::vector<RunPoint> &points,
     for (std::size_t i = 0; i < points.size(); i++) {
         if (!points[i].makeController)
             continue;
-        if (auto params = oracleParamsFromKey(points[i].controllerKey)) {
-            jobs[i] = OracleJob{std::move(*params), {}};
-            any = true;
-        }
+        std::optional<OraclePolicyParams> params =
+            oracleParamsFromKey(points[i].controllerKey);
+        if (!params ||
+            pointIdentityKey(oracleRunPoint(*params), plan[i].label,
+                             params->seed) !=
+                pointIdentityKey(points[i], plan[i].label, plan[i].seed))
+            continue;
+        jobs[i] = OracleJob{std::move(*params), {}};
+        any = true;
     }
     if (!any)
         return jobs;
@@ -279,41 +288,42 @@ runSweep(const std::vector<RunPoint> &points, const SweepOptions &opts)
             const std::string &label = plan[i].label;
             w.seed = plan[i].seed;
 
-            // An oracle point builds its controller from its key, with
-            // its siblings' measured cycles; the time it waits for them
-            // is not its own.
-            KnownCycles known;
+            // An oracle point's run is its race's winner, read from its
+            // siblings' runs where they raced a candidate; the time it
+            // waits for them is not its own.
+            KnownRuns known;
             if (oracles[i]) {
                 completions.awaitSiblings(*oracles[i]);
                 for (const auto &[competitor, j] : oracles[i]->siblings)
-                    known[competitor] = out.runs[j].result.cycles;
+                    known[competitor] = out.runs[j].result;
             }
             // simlint-ignore(D002): timing-only bookkeeping, never a
             // sim input
             Clock::time_point run_start = Clock::now();
-            std::unique_ptr<ReconfigController> ctrl;
-            if (oracles[i])
-                ctrl = makeOracleController(oracles[i]->params, known);
-            else if (p.makeController)
-                ctrl = p.makeController();
-
-            // Points with a declared warmup identity route through the
-            // checkpoint path; everything else (store disabled, opaque
-            // controller, warmup == 0) runs runSimulation(). Both feed
-            // the core from the generator and produce identical bytes.
-            std::string ckpt_key;
-            if (opts.checkpoints && opts.checkpoints->enabled())
-                ckpt_key = opts.checkpoints->keyFor(p, w.seed);
-
             SweepRun &slot = out.runs[i];
             SimResult r;
-            if (!ckpt_key.empty()) {
-                slot.warmStart = runCheckpointed(
-                    *opts.checkpoints, ckpt_key, p.cfg, w, ctrl.get(),
-                    p.warmup, p.measure, r);
+            if (oracles[i]) {
+                r = raceOracle(oracles[i]->params, known).run;
             } else {
-                r = runSimulation(p.cfg, w, ctrl.get(), p.warmup,
-                                  p.measure);
+                std::unique_ptr<ReconfigController> ctrl;
+                if (p.makeController)
+                    ctrl = p.makeController();
+
+                // Points with a declared warmup identity route through
+                // the checkpoint path; everything else (store disabled,
+                // opaque controller, warmup == 0) runs runSimulation().
+                // Both feed the core from the generator and produce
+                // identical bytes.
+                std::string ckpt_key;
+                if (opts.checkpoints && opts.checkpoints->enabled())
+                    ckpt_key = opts.checkpoints->keyFor(p, w.seed);
+                if (!ckpt_key.empty())
+                    slot.warmStart = runCheckpointed(
+                        *opts.checkpoints, ckpt_key, p.cfg, w, ctrl.get(),
+                        p.warmup, p.measure, r);
+                else
+                    r = runSimulation(p.cfg, w, ctrl.get(), p.warmup,
+                                      p.measure);
             }
             r.config = label;
 

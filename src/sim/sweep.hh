@@ -7,9 +7,10 @@
  * independent RunPoints on a fixed-size worker pool and collects the
  * SimResults in submission order. Results are bit-identical regardless
  * of thread count or scheduling order: each run gets its own workload
- * copy, a fresh controller (from its factory, or for an oracle point
- * from its key), and an RNG seed derived deterministically from the
- * benchmark and the point's label or seedTag.
+ * copy, a fresh controller from its factory (an oracle point instead
+ * reports its race's winning run), and an RNG seed derived
+ * deterministically from the benchmark and the point's label or
+ * seedTag.
  *
  * The sweep-level JSON report (sweepReportJson) captures run metadata,
  * per-run metrics, and wall-clock + aggregate statistics, giving every
@@ -89,11 +90,14 @@ struct SweepOptions {
 struct SweepRun {
     SimResult result;
     std::uint64_t seed = 0;      ///< workload seed actually used
-    /** This run alone, building its controller included: an oracle
-     *  point's own probe runs count here, the time it waits for its
-     *  sibling points (see runSweep) does not. */
+    /** This run alone, building its controller included. An oracle
+     *  point's race counts here (its probes, DP replay and any
+     *  candidate no sibling ran); the time it waits for its sibling
+     *  points (see runSweep) does not. */
     double wallSeconds = 0.0;
-    /** Warmup was restored from the checkpoint store, not simulated. */
+    /** Warmup was restored from the checkpoint store, not simulated.
+     *  Always false for an oracle point that reports its race's
+     *  winner: it neither loads nor stores a checkpoint. */
     bool warmStart = false;
 };
 
@@ -126,11 +130,14 @@ std::uint64_t sweepSeed(std::uint64_t base, const std::string &benchmark,
  * window. Restore is exact, so reports match either way.
  *
  * A point whose controllerKey is an oracle key (sim/oracle_policy.hh)
- * runs after every other point. Its controller is built from the key,
- * not the factory, and reads the measured cycles of every point whose
- * pointIdentityKey() equals one of its reactive candidates, waiting
- * for any still in flight; it simulates only the candidates no point
- * ran. The schedule, and so the report, is the same as the factory's.
+ * and whose identity is the oracle's own run point (oracleRunPoint())
+ * runs after every other point. It builds no controller and runs no
+ * simulation of its own: it races its candidates with raceOracle(),
+ * handing in the runs of every point whose pointIdentityKey() equals
+ * one of its reactive candidates (waiting for any still in flight),
+ * and reports the winner's run under its own label. Its run is the
+ * one the handle's schedule would replay, so the report is the same.
+ * Any other point with an oracle key runs through its handle.
  */
 SweepResult runSweep(const std::vector<RunPoint> &points,
                      const SweepOptions &opts = {});

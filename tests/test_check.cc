@@ -599,6 +599,29 @@ TEST(JsonReader, MalformedInputThrows)
     EXPECT_THROW(parseJson("nul"), SimError);
 }
 
+TEST(JsonReader, NestingIsBoundedAtMaxDepth)
+{
+    auto arrays = [](std::size_t depth) {
+        return std::string(depth, '[') + std::string(depth, ']');
+    };
+    EXPECT_NO_THROW(parseJson(arrays(maxJsonDepth)));
+    EXPECT_THROW(parseJson(arrays(maxJsonDepth + 1)), SimError);
+    // Objects count levels the same way.
+    std::string objects;
+    for (std::size_t i = 0; i < maxJsonDepth; i++)
+        objects += "{\"a\":";
+    objects += "0" + std::string(maxJsonDepth, '}');
+    EXPECT_NO_THROW(parseJson(objects));
+    EXPECT_THROW(parseJson("[" + objects + "]"), SimError);
+    // Far past the bound, closed or not: an error, not a stack
+    // overflow.
+    EXPECT_THROW(parseJson(arrays(100000)), SimError);
+    std::string members;
+    for (int i = 0; i < 100000; i++)
+        members += "{\"a\":";
+    EXPECT_THROW(parseJson(members), SimError);
+}
+
 TEST(JsonReader, KindMismatchThrows)
 {
     JsonValue v = parseJson("{\"a\": 1.5}");

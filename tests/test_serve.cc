@@ -220,6 +220,17 @@ TEST(Serve, ParseRequestRejectsMalformedInput)
     EXPECT_FALSE(parseRequest("{\"type\":\"submit\","
                               "\"preset\":\"smoke\",\"warmup\":-5}")
                      .ok);
+    // active_clusters above maxClusters, wrapping to 2 or to a
+    // negative int (no override) in an int cast, is a bad request.
+    for (const char *active : {"17", "2147483648", "4294967298"})
+        EXPECT_EQ(parseRequest(std::string("{\"type\":\"submit\","
+                                           "\"preset\":\"smoke\","
+                                           "\"overrides\":"
+                                           "{\"active_clusters\":") +
+                               active + "}}")
+                      .errorCode,
+                  "bad_request")
+            << active;
     std::string huge = "{\"type\":\"ping\",\"pad\":\"" +
                        std::string(maxFrameBytes, 'x') + "\"}";
     EXPECT_EQ(parseRequest(huge).errorCode, "oversized");
@@ -236,6 +247,15 @@ TEST(Serve, ParseRequestAcceptsEveryKind)
     EXPECT_EQ(p.req.submit.warmup, 100u);
     EXPECT_EQ(p.req.submit.measure, 200u);
     EXPECT_EQ(p.req.submit.activeClusters, 4);
+    // 1 stays the conformance rig's in-stream failure lever.
+    for (int active : {1, maxClusters}) {
+        ParsedRequest a = parseRequest(
+            "{\"type\":\"submit\",\"preset\":\"smoke\","
+            "\"overrides\":{\"active_clusters\":" +
+            std::to_string(active) + "}}");
+        ASSERT_TRUE(a.ok) << active;
+        EXPECT_EQ(a.req.submit.activeClusters, active);
+    }
 
     EXPECT_EQ(parseRequest("{\"type\":\"stats\"}").req.kind,
               Request::Kind::Stats);

@@ -488,6 +488,14 @@ TEST_F(ServeDaemon, MalformedFramesGetStructuredErrorsNeverACrash)
     c.sendRaw(std::string("\x01\x02\x00\xff\xfe", 5) + "\n");
     EXPECT_EQ(c.readFrame().at("code").asString(), "parse");
 
+    // Nesting far past the parser's depth bound (a tenth of the frame
+    // bound) is a parse error, not a stack overflow that kills the
+    // daemon and every client with it.
+    c.sendLine(std::string(100000, '['));
+    EXPECT_EQ(c.readFrame().at("code").asString(), "parse");
+    c.sendLine("{\"type\":\"ping\"}");
+    EXPECT_EQ(c.frameType(c.readFrame()), "pong");
+
     // An oversized line draws exactly one error, then the connection
     // keeps working.
     c.sendRaw(std::string((1 << 20) + 100, 'x') + "\n");
@@ -627,6 +635,15 @@ TEST_F(ServeDaemon, MalformedNumericFlagsExitTwo)
                                 "--measure", "2000", gate, "abc"}),
                   2)
             << gate;
+    // An override above maxClusters stops the client too; 17 once
+    // reached the daemon and ran as 16.
+    for (const char *active : {"17", "4294967298"})
+        EXPECT_EQ(exitStatusOf({SWEEPC_BIN, "--port", port, "submit",
+                                "--preset", "smoke", "--warmup", "500",
+                                "--measure", "2000", "--active-clusters",
+                                active}),
+                  2)
+            << active;
     // 70000 once truncated to port 4464, and the daemon listened there.
     EXPECT_EQ(exitStatusOf({SWEEPD_BIN, "--port", "70000"}), 2);
     EXPECT_EQ(exitStatusOf({SWEEPD_BIN, "--workers", "x"}), 2);

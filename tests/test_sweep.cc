@@ -23,6 +23,7 @@
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "reconfig/interval_explore.hh"
+#include "reconfig/oracle.hh"
 #include "sim/checkpoint.hh"
 #include "sim/oracle_policy.hh"
 #include "sim/plan.hh"
@@ -582,7 +583,10 @@ TEST(Tournament, ReportByteIdenticalAcrossEnginesAndRanked)
                                          runSweep(points, parallel),
                                          false))
                 << pass;
-        EXPECT_EQ(store.stats().hits, points.size());
+        // An oracle point reports its race's winner, so it neither
+        // stores nor restores a warmup.
+        EXPECT_EQ(store.stats().hits,
+                  points.size() - allBenchmarks().size());
     }
     std::filesystem::remove_all(tmpl);
 
@@ -744,6 +748,77 @@ TEST(Tournament, OracleWaitsForSiblingsInFlight)
               payloads(points, runOn(points, 1)));
 }
 
+namespace {
+
+/** The payload a point's handle gives: its factory's controller on the
+ *  point's own machine and planned stream. For an oracle point that is
+ *  the replay of its race's winning schedule. */
+std::string
+handlePayload(const RunPoint &p)
+{
+    PlannedPoint pp = planPoints({p}, true)[0];
+    WorkloadSpec w = p.workload;
+    w.seed = pp.seed;
+    std::unique_ptr<ReconfigController> ctrl = p.makeController();
+    SimResult r = runSimulation(p.cfg, w, ctrl.get(), p.warmup, p.measure);
+    r.config = pp.label;
+    return pointPayloadJson(r, pp.seed, p.warmup, p.measure);
+}
+
+} // namespace
+
+TEST(Tournament, EveryKindOfWinnerAloneMatchesAmongItsSiblings)
+{
+    // At 1000/2000 a fixed configuration wins all nine oracles. At this
+    // scale the winners of parser, crafty and djpeg are a fixed
+    // configuration, the DP mixture and a reactive sibling
+    // (OraclePolicy.WinnerRunIsItsScheduleReplayed). Among its
+    // siblings the oracle reports the winning sibling's run; alone it
+    // races that policy itself; its handle replays the winning
+    // schedule. All three give one payload.
+    std::vector<RunPoint> points;
+    for (const RunPoint &p : makeSweepPreset("tournament", 2000, 8000))
+        if (p.workload.name == "parser" || p.workload.name == "crafty" ||
+            p.workload.name == "djpeg")
+            points.push_back(p);
+    std::vector<std::string> four = payloads(points, runOn(points, 4));
+    std::size_t oracles = 0;
+    for (std::size_t i = 0; i < points.size(); i++) {
+        if (!oracleParamsFromKey(points[i].controllerKey))
+            continue;
+        oracles++;
+        std::vector<RunPoint> alone = {points[i]};
+        EXPECT_EQ(payloads(alone, runOn(alone, 1))[0], four[i])
+            << points[i].workload.name;
+        EXPECT_EQ(handlePayload(points[i]), four[i])
+            << points[i].workload.name;
+    }
+    EXPECT_EQ(oracles, 3u);
+}
+
+TEST(Tournament, OracleOnAnotherMachineRunsThroughItsHandle)
+{
+    // sweepd's active_clusters override rewrites every point's machine,
+    // the oracle's too. The race runs on the 16-cluster machine, so
+    // such a point is not the race's run point: it replays the race's
+    // schedule on its own machine, as every controller point runs its
+    // handle. The oracle's controller sets the partition at attach, so
+    // a viable override leaves the run as it was; one too small for
+    // the architectural registers fails the point at construction (the
+    // conformance rig's in-stream failure lever), which the race's own
+    // 16-cluster run would not.
+    std::vector<RunPoint> points =
+        makeSweepPreset("tournament", 1000, 2000);
+    RunPoint oracle = points[reactiveCompetitors().size()];
+    ASSERT_TRUE(oracleParamsFromKey(oracle.controllerKey));
+    oracle.cfg.activeClustersAtReset = 4;
+    EXPECT_EQ(payloads({oracle}, runOn({oracle}, 1))[0],
+              handlePayload(oracle));
+    oracle.cfg.activeClustersAtReset = 1;
+    ScopedPanicRethrow rethrow;
+    EXPECT_THROW(runOn({oracle}, 1), SimError);
+}
+
 // ---------------------------------------------------------------------------
 // Oracle policy: known candidates and the key inverse
 // ---------------------------------------------------------------------------
@@ -763,47 +838,70 @@ tournamentOracle(const std::string &bench, std::uint64_t warmup,
     return {};
 }
 
-/** Measured cycles of every reactive candidate of `p`, each run on
- *  the oracle's seed, which the candidate point carries. */
-KnownCycles
-reactiveCycles(const OraclePolicyParams &p)
+/** Measured runs of every reactive candidate of `p`, each on the
+ *  oracle's seed, which the candidate point carries. */
+KnownRuns
+reactiveRuns(const OraclePolicyParams &p)
 {
-    KnownCycles known;
+    KnownRuns known;
     for (const ReactiveCompetitor &c : reactiveCompetitors()) {
         RunPoint cand = reactiveCandidatePoint(p, c);
         std::unique_ptr<ReconfigController> ctrl = cand.makeController();
         known[c.label] = runSimulation(cand.cfg, cand.workload, ctrl.get(),
-                                       cand.warmup, cand.measure)
-                             .cycles;
+                                       cand.warmup, cand.measure);
     }
     return known;
 }
 
-} // namespace
-
-TEST(OraclePolicy, KnownReactiveCyclesGiveTheSameSchedule)
+/** The kind of candidate a race's winning schedule came from: a fixed
+ *  configuration is one slot, the DP mixture one slot per interval, a
+ *  reactive trajectory one slot per commit, and a known run none. */
+std::string
+winnerKind(const OracleSchedule &s)
 {
-    // On this stream a reactive trajectory beats every fixed
-    // configuration and the DP mixture, so with known cycles the
-    // winner has to be re-run to record its trajectory.
-    OraclePolicyParams p = tournamentOracle("djpeg", 2000, 8000);
-    OracleSchedule alone = computeBestOracleSchedule(p);
-    ASSERT_EQ(alone.slotLength, 1u);
-    OracleSchedule reused = computeBestOracleSchedule(p, reactiveCycles(p));
-    EXPECT_EQ(reused.slotLength, alone.slotLength);
-    EXPECT_EQ(reused.targets, alone.targets);
+    if (s.targets.empty())
+        return "known";
+    if (s.slotLength == 1)
+        return "reactive";
+    return s.targets.size() == 1 ? "fixed" : "dp";
 }
 
-TEST(OraclePolicy, KnownCyclesThatDisagreeWithTheRerunThrow)
+} // namespace
+
+TEST(OraclePolicy, KnownReactiveRunsGiveTheSameWinner)
 {
+    // On this stream a reactive trajectory beats every fixed
+    // configuration and the DP mixture. With the reactive runs known
+    // the race simulates none of them, records no trajectory, and
+    // reports the same winning run.
     OraclePolicyParams p = tournamentOracle("djpeg", 2000, 8000);
-    KnownCycles known = reactiveCycles(p);
-    auto winner = std::min_element(
-        known.begin(), known.end(),
-        [](const auto &a, const auto &b) { return a.second < b.second; });
-    winner->second -= 1;
-    ScopedPanicRethrow rethrow;
-    EXPECT_THROW(computeBestOracleSchedule(p, known), SimError);
+    OracleRace alone = raceOracle(p);
+    ASSERT_EQ(winnerKind(alone.schedule), "reactive");
+    OracleRace reused = raceOracle(p, reactiveRuns(p));
+    EXPECT_EQ(winnerKind(reused.schedule), "known");
+    EXPECT_EQ(toJson(reused.run), toJson(alone.run));
+}
+
+TEST(OraclePolicy, WinnerRunIsItsScheduleReplayed)
+{
+    // At this scale every kind of candidate wins somewhere; on parser
+    // a fixed configuration beats a DP schedule that mixes
+    // configurations. Each winner's run is exactly the run that
+    // replaying its schedule on the oracle's own run point gives, which
+    // is what lets runSweep report it instead of simulating again.
+    const std::pair<const char *, const char *> cases[] = {
+        {"parser", "fixed"}, {"crafty", "dp"}, {"djpeg", "reactive"}};
+    for (const auto &[bench, kind] : cases) {
+        OraclePolicyParams p = tournamentOracle(bench, 2000, 8000);
+        OracleRace race = raceOracle(p);
+        EXPECT_EQ(winnerKind(race.schedule), kind) << bench;
+        RunPoint own = oracleRunPoint(p);
+        OracleController replay(race.schedule.slotLength,
+                                race.schedule.targets);
+        SimResult fresh = runSimulation(own.cfg, own.workload, &replay,
+                                        own.warmup, own.measure);
+        EXPECT_EQ(toJson(race.run), toJson(fresh)) << bench;
+    }
 }
 
 TEST(OraclePolicy, MissingBenchAndUnknownKeysThrow)

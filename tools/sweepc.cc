@@ -50,6 +50,7 @@
 #include "common/json_reader.hh"
 #include "common/logging.hh"
 #include "common/parse.hh"
+#include "core/params.hh"
 
 using namespace clustersim;
 
@@ -468,7 +469,8 @@ main(int argc, char **argv)
                 flagNumber<std::uint64_t>("--measure", need("--measure"));
         } else if (arg == "--active-clusters") {
             active_clusters = flagNumber<int>("--active-clusters",
-                                             need("--active-clusters"));
+                                             need("--active-clusters"),
+                                             maxClusters);
         } else if (arg == "--out") {
             out_path = need("--out");
         } else if (arg == "--require-cached") {
