@@ -180,7 +180,7 @@ runFuzzCase(const FuzzCase &c)
     InvariantChecker checker(/*fail_fast=*/false);
     FuzzOutcome out;
     {
-        CheckScope scope(checker);
+        ObserverScope scope(checker);
         std::unique_ptr<ReconfigController> ctrl = fuzzController(c);
         runSimulation(fuzzConfig(c), fuzzWorkload(c), ctrl.get(),
                       c.warmup, c.measure);

@@ -3,31 +3,18 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "core/dyn_inst.hh"
 #include "core/params.hh"
 #include "memory/lsq.hh"
 
 namespace clustersim {
 
-namespace {
-
-thread_local InvariantChecker *tlChecker = nullptr;
-
-} // namespace
-
-InvariantChecker *
-currentChecker()
+DefaultObserverScope::DefaultObserverScope()
 {
-    return tlChecker;
-}
-
-CheckScope::CheckScope(InvariantChecker &checker) : prev_(tlChecker)
-{
-    tlChecker = &checker;
-}
-
-CheckScope::~CheckScope()
-{
-    tlChecker = prev_;
+    if (CLUSTERSIM_OBSERVE_ENABLED && !currentObserver()) {
+        checker_.emplace(/*fail_fast=*/true);
+        scope_.emplace(*checker_);
+    }
 }
 
 InvariantChecker::InvariantChecker(bool fail_fast) : failFast_(fail_fast)
@@ -46,6 +33,12 @@ InvariantChecker::configure(const CheckLimits &limits)
                             " exceeds theoretical bound ",
                             lim_.hardHopBound));
     }
+}
+
+void
+InvariantChecker::onConfigure(const ProcessorConfig &cfg, int max_hops)
+{
+    configure(makeCheckLimits(cfg, max_hops));
 }
 
 void
@@ -193,7 +186,7 @@ InvariantChecker::onRobAllocate(InstSeqNum seq, std::size_t size,
 }
 
 void
-InvariantChecker::onRobRetire(InstSeqNum seq)
+InvariantChecker::onRobRetire(InstSeqNum seq, std::size_t)
 {
     if (!bump())
         return;
@@ -206,18 +199,19 @@ InvariantChecker::onRobRetire(InstSeqNum seq)
 }
 
 void
-InvariantChecker::onCommit(InstSeqNum seq, bool completed,
-                           Cycle complete_cycle, Cycle now)
+InvariantChecker::onCommit(const DynInst &head, Cycle now)
 {
     if (!bump())
         return;
-    if (!completed) {
+    InstSeqNum seq = head.seq;
+    if (!head.completed) {
         fail("commit-incomplete",
              detail::concat("seq ", seq, " commits without completing"));
-    } else if (complete_cycle > now) {
+    } else if (head.completeCycle > now) {
         fail("commit-time",
              detail::concat("seq ", seq, " commits at cycle ", now,
-                            " before completing at ", complete_cycle));
+                            " before completing at ",
+                            head.completeCycle));
     }
     if (lastCommitSeq_ != 0 && seq != lastCommitSeq_ + 1) {
         fail("commit-order",
@@ -232,7 +226,7 @@ InvariantChecker::onCommit(InstSeqNum seq, bool completed,
 // ---------------------------------------------------------------------------
 
 void
-InvariantChecker::onLsqMutate(const LoadStoreQueue &lsq)
+InvariantChecker::checkLsq(const LoadStoreQueue &lsq)
 {
     if (!bump())
         return;
@@ -283,16 +277,17 @@ InvariantChecker::onLoadAccess(const LoadStoreQueue &lsq, InstSeqNum seq)
 }
 
 void
-InvariantChecker::onLsqRelease(InstSeqNum seq)
+InvariantChecker::onLsqRelease(const LoadStoreQueue &lsq, InstSeqNum seq)
 {
-    if (!bump())
-        return;
-    if (lastLsqRelease_ != 0 && seq <= lastLsqRelease_) {
-        fail("lsq-release-order",
-             detail::concat("LSQ released seq ", seq, " after ",
-                            lastLsqRelease_));
+    if (bump()) {
+        if (lastLsqRelease_ != 0 && seq <= lastLsqRelease_) {
+            fail("lsq-release-order",
+                 detail::concat("LSQ released seq ", seq, " after ",
+                                lastLsqRelease_));
+        }
+        lastLsqRelease_ = seq;
     }
-    lastLsqRelease_ = seq;
+    checkLsq(lsq);
 }
 
 // ---------------------------------------------------------------------------
@@ -300,7 +295,8 @@ InvariantChecker::onLsqRelease(InstSeqNum seq)
 // ---------------------------------------------------------------------------
 
 void
-InvariantChecker::onTransfer(int src, int dst, int hops, int topology_max)
+InvariantChecker::onTransfer(int src, int dst, int hops, int topology_max,
+                             Cycle)
 {
     if (!bump())
         return;
@@ -402,7 +398,7 @@ InvariantChecker::onReconfigApply(int from, int to, std::size_t rob_size,
 }
 
 void
-InvariantChecker::onCycle(int active_clusters)
+InvariantChecker::onCycleEnd(int active_clusters)
 {
     if (!bump())
         return;

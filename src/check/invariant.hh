@@ -6,34 +6,28 @@
  * exactly right: per-cluster resource limits (Table 1), in-order ROB
  * commit, LSQ dummy-slot store handling (Section 5), interconnect hop
  * bounds, and reconfiguration that never leaks state across interval
- * boundaries. The InvariantChecker is a probe sink that the core
- * components (Processor, Cluster, ReorderBuffer, LoadStoreQueue,
- * Network, and the reconfiguration controllers) invoke at commit /
- * reconfigure / transfer boundaries.
+ * boundaries. The InvariantChecker is the Observer (trace/observer.hh)
+ * that checks them at the observation hooks.
  *
- * Probe call sites are wrapped in CSIM_CHECK_PROBE, which compiles to
- * nothing unless the build is configured with -DCLUSTERSIM_CHECK=ON
- * (which defines CLUSTERSIM_CHECK_ENABLED=1). In a check build, probes
- * are routed to the thread-current checker installed with CheckScope;
- * with no scope installed they cost one thread-local load.
- *
- * The checker itself is always compiled, so unit tests can exercise the
- * rules directly in any build flavour.
+ * The hooks reach it only in a build configured with
+ * -DCLUSTERSIM_OBSERVE=ON, where every simulation runs under a
+ * fail-fast checker (DefaultObserverScope) unless its caller installed
+ * an observer of its own. The checker itself is always compiled, so
+ * unit tests can exercise the rules directly in any build flavour.
  */
 
 #ifndef CLUSTERSIM_CHECK_INVARIANT_HH
 #define CLUSTERSIM_CHECK_INVARIANT_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/types.hh"
+#include "trace/observer.hh"
 
 namespace clustersim {
-
-class LoadStoreQueue;
-struct ProcessorConfig;
 
 /** Static limits the invariants are checked against (from the config). */
 struct CheckLimits {
@@ -63,14 +57,14 @@ struct CheckLimits {
 };
 
 /**
- * Probe sink asserting conservation invariants.
+ * Observer asserting conservation invariants.
  *
- * In fail-fast mode (the default, used by runSimulation in check
- * builds) the first violation panics with the rule and detail. In
+ * In fail-fast mode (the default, used for every run of an observe
+ * build) the first violation panics with the rule and detail. In
  * recording mode (used by the fuzz driver so failures can be shrunk)
  * violations are collected and the simulation continues.
  */
-class InvariantChecker
+class InvariantChecker : public Observer
 {
   public:
     struct Violation {
@@ -80,53 +74,36 @@ class InvariantChecker
 
     explicit InvariantChecker(bool fail_fast = true);
 
-    /** Install the limits; called by the Processor constructor probe. */
+    /** Install the limits (onConfigure derives them from the config). */
     void configure(const CheckLimits &limits);
 
-    // --- cluster resources (Cluster probes) -------------------------------
-    /** IQ occupancy after an allocate/release. */
-    void onClusterIq(int cluster, bool fp, int occupancy);
-    /** Register-file occupancy after an allocate/release. */
-    void onClusterRegs(int cluster, bool fp, int used);
-
-    // --- reorder buffer (ReorderBuffer + Processor probes) ----------------
-    void onRobAllocate(InstSeqNum seq, std::size_t size, int capacity);
-    void onRobRetire(InstSeqNum seq);
-    /** Commit-stage view of the retiring head. */
-    void onCommit(InstSeqNum seq, bool completed, Cycle complete_cycle,
-                  Cycle now);
-
-    // --- load/store queue (LoadStoreQueue probes) -------------------------
-    /** Occupancy conservation after any LSQ mutation. */
-    void onLsqMutate(const LoadStoreQueue &lsq);
-    /** A load with seq is being issued to forward/cache access. */
-    void onLoadAccess(const LoadStoreQueue &lsq, InstSeqNum seq);
-    void onLsqRelease(InstSeqNum seq);
-
-    // --- interconnect (Network probe) -------------------------------------
-    void onTransfer(int src, int dst, int hops, int topology_max);
-
-    // --- reconfiguration (controller + Processor probes) ------------------
-    /** A controller finished (re)attaching. */
+    // --- Observer hooks ---------------------------------------------------
+    void onConfigure(const ProcessorConfig &cfg, int max_hops) override;
+    void onCycleEnd(int active_clusters) override;
+    void onIdleSkip(Cycle, int active) override { onCycleEnd(active); }
+    void onClusterIq(int cluster, bool fp, int occupancy) override;
+    void onClusterRegs(int cluster, bool fp, int used) override;
+    void onRobAllocate(InstSeqNum seq, std::size_t size,
+                       int capacity) override;
+    void onRobRetire(InstSeqNum seq, std::size_t size) override;
+    void onCommit(const DynInst &head, Cycle now) override;
+    void onLsqAllocate(const LoadStoreQueue &q) override { checkLsq(q); }
+    void onLsqResolve(const LoadStoreQueue &q) override { checkLsq(q); }
+    void onLoadAccess(const LoadStoreQueue &lsq, InstSeqNum seq) override;
+    void onLsqRelease(const LoadStoreQueue &lsq, InstSeqNum seq) override;
+    void onTransfer(int src, int dst, int hops, int topology_max,
+                    Cycle queue_delay) override;
     void onControllerAttach(const std::string &name, int hw_clusters,
-                            int target);
-    /** A controller exposes a desired cluster count. */
-    void onControllerTarget(const std::string &name, int target);
-    /** The processor switches active cluster counts. */
+                            int target) override;
+    void onControllerTarget(const std::string &name, int target) override;
     void onReconfigApply(int from, int to, std::size_t rob_size,
-                         std::size_t lsq_size, bool decentralized);
-    /** Once per cycle: the active cluster count in force. */
-    void onCycle(int active_clusters);
-
-    // --- checkpoint (Processor probe) -------------------------------------
+                         std::size_t lsq_size, bool decentralized) override;
     /**
-     * The instruction stream this sink observes is about to rewind: a
-     * snapshot restore moved the processor back in sequence space.
      * Re-bases the sequencing rules (dense ROB allocation, in-order
      * commit/retire, ordered LSQ release) on their next observation;
-     * all conservation rules keep checking through the switch.
+     * all conservation rules keep checking through the rewind.
      */
-    void onStreamRebase();
+    void onStreamRebase() override;
 
     // --- results ----------------------------------------------------------
     bool ok() const { return violations_.empty(); }
@@ -148,6 +125,8 @@ class InvariantChecker
   private:
     void fail(const char *rule, std::string detail);
     bool bump();
+    /** The lsq-occupancy rule, after any LSQ mutation. */
+    void checkLsq(const LoadStoreQueue &lsq);
 
     bool failFast_;
     CheckLimits lim_;
@@ -173,51 +152,24 @@ class InvariantChecker
  */
 CheckLimits makeCheckLimits(const ProcessorConfig &cfg, int max_hops);
 
-/** The thread-current checker, or nullptr when none is installed. */
-InvariantChecker *currentChecker();
-
 /**
- * RAII installation of a checker as the thread-current probe sink.
- * Scopes nest; the innermost wins and the previous sink is restored on
- * destruction. Install exactly one scope per simulated processor run:
- * the sequencing rules (dense ROB allocation, in-order commit) assume a
- * single instruction stream per sink.
+ * The default observer of one simulated run: in an observe build with
+ * no observer in scope, a fail-fast InvariantChecker for the scope's
+ * lifetime. In a default build it does nothing.
  */
-class CheckScope
+class DefaultObserverScope
 {
   public:
-    explicit CheckScope(InvariantChecker &checker);
-    ~CheckScope();
+    DefaultObserverScope();
 
-    CheckScope(const CheckScope &) = delete;
-    CheckScope &operator=(const CheckScope &) = delete;
+    DefaultObserverScope(const DefaultObserverScope &) = delete;
+    DefaultObserverScope &operator=(const DefaultObserverScope &) = delete;
 
   private:
-    InvariantChecker *prev_;
+    std::optional<InvariantChecker> checker_;
+    std::optional<ObserverScope> scope_;
 };
 
 } // namespace clustersim
-
-#ifndef CLUSTERSIM_CHECK_ENABLED
-#define CLUSTERSIM_CHECK_ENABLED 0
-#endif
-
-/**
- * Probe macro: forwards one InvariantChecker member call to the
- * thread-current checker. Compiled out entirely unless the build
- * defines CLUSTERSIM_CHECK_ENABLED=1 (cmake -DCLUSTERSIM_CHECK=ON).
- */
-#if CLUSTERSIM_CHECK_ENABLED
-#define CSIM_CHECK_PROBE(...)                                               \
-    do {                                                                    \
-        if (::clustersim::InvariantChecker *csim_chk_ =                     \
-                ::clustersim::currentChecker())                             \
-            csim_chk_->__VA_ARGS__;                                         \
-    } while (0)
-#else
-#define CSIM_CHECK_PROBE(...)                                               \
-    do {                                                                    \
-    } while (0)
-#endif
 
 #endif // CLUSTERSIM_CHECK_INVARIANT_HH

@@ -28,10 +28,8 @@ namespace detail {
 panicImpl(const char *file, int line, const std::string &msg)
 {
     std::fprintf(stderr, "panic: %s (%s:%d)\n", msg.c_str(), file, line);
-#if defined(__cpp_exceptions) || defined(__EXCEPTIONS)
     if (panicRethrowDepth > 0)
         throw SimError(msg);
-#endif
     std::abort();
 }
 

@@ -44,22 +44,12 @@ void informImpl(const std::string &msg);
 
 } // namespace detail
 
-/**
- * Abort on a user-caused error: throws SimError. When the build
- * disables exceptions (-fno-exceptions, see CLUSTERSIM_NO_EXCEPTIONS in
- * CMake), the error is reported and the process aborts instead, so
- * every call site stays well-formed either way.
- */
+/** Abort on a user-caused error: throws SimError. */
 template <typename... Args>
 [[noreturn]] void
 fatal(Args &&...args)
 {
-#if defined(__cpp_exceptions) || defined(__EXCEPTIONS)
     throw SimError(detail::concat(std::forward<Args>(args)...));
-#else
-    detail::panicImpl("fatal", 0,
-                      detail::concat(std::forward<Args>(args)...));
-#endif
 }
 
 /**
@@ -70,8 +60,7 @@ fatal(Args &&...args)
  * simulation point take down every other client's jobs: the sweep
  * scheduler wraps each point in this scope, catches the SimError, and
  * reports the point as failed in-stream. Scopes nest; the default
- * (abort) behaviour is restored when the outermost scope dies. In
- * -fno-exceptions builds the scope is inert and panics abort as always.
+ * (abort) behaviour is restored when the outermost scope dies.
  */
 class ScopedPanicRethrow
 {

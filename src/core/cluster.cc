@@ -1,8 +1,7 @@
 #include "core/cluster.hh"
 
-#include "check/invariant.hh"
 #include "common/logging.hh"
-#include "trace/trace.hh"
+#include "trace/observer.hh"
 
 // simlint: hot-path
 
@@ -32,8 +31,7 @@ Cluster::iqAllocate(bool fp)
 {
     CSIM_ASSERT(iqHasSpace(fp), "IQ overflow");
     (fp ? fpIqUsed_ : intIqUsed_)++;
-    CSIM_CHECK_PROBE(onClusterIq(id_, fp, iqOccupancy(fp)));
-    CSIM_TRACE(iq(id_, fp, iqOccupancy(fp)));
+    CSIM_OBSERVE(onClusterIq(id_, fp, iqOccupancy(fp)));
 }
 
 void
@@ -42,8 +40,7 @@ Cluster::iqRelease(bool fp)
     int &used = fp ? fpIqUsed_ : intIqUsed_;
     CSIM_ASSERT(used > 0, "IQ underflow");
     used--;
-    CSIM_CHECK_PROBE(onClusterIq(id_, fp, iqOccupancy(fp)));
-    CSIM_TRACE(iq(id_, fp, iqOccupancy(fp)));
+    CSIM_OBSERVE(onClusterIq(id_, fp, iqOccupancy(fp)));
 }
 
 void
@@ -51,8 +48,7 @@ Cluster::regAllocate(bool fp)
 {
     CSIM_ASSERT(regHasSpace(fp), "register file overflow");
     (fp ? fpRegsUsed_ : intRegsUsed_)++;
-    CSIM_CHECK_PROBE(onClusterRegs(id_, fp, regsUsed(fp)));
-    CSIM_TRACE(regs(id_, fp, regsUsed(fp)));
+    CSIM_OBSERVE(onClusterRegs(id_, fp, regsUsed(fp)));
 }
 
 void
@@ -61,8 +57,7 @@ Cluster::regRelease(bool fp)
     int &used = fp ? fpRegsUsed_ : intRegsUsed_;
     CSIM_ASSERT(used > 0, "register file underflow");
     used--;
-    CSIM_CHECK_PROBE(onClusterRegs(id_, fp, regsUsed(fp)));
-    CSIM_TRACE(regs(id_, fp, regsUsed(fp)));
+    CSIM_OBSERVE(onClusterRegs(id_, fp, regsUsed(fp)));
 }
 
 SlotReserver &

@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <type_traits>
 
-#include "check/invariant.hh"
 #include "common/logging.hh"
-#include "trace/trace.hh"
+#include "trace/observer.hh"
 
 // simlint: hot-path
 
@@ -60,8 +59,7 @@ Processor::Processor(const ProcessorConfig &cfg, TraceSource *trace,
     for (auto &v : archValues_)
         v = ValueInfo::initial();
 
-    CSIM_CHECK_PROBE(configure(makeCheckLimits(cfg_,
-                                               network_->maxHops())));
+    CSIM_OBSERVE(onConfigure(cfg_, network_->maxHops()));
 
     // Partitions too small to hold the architectural registers can
     // never make forward progress (committed mappings alone exhaust
@@ -113,7 +111,7 @@ void
 Processor::step()
 {
     cycle_++;
-    CSIM_TRACE(beginCycle(cycle_, activeClusters_));
+    CSIM_OBSERVE(onCycleBegin(cycle_, activeClusters_));
     bool events = processIqEvents();
     bool committed = doCommit();
     bool retried = retryPendingLoads();
@@ -125,7 +123,7 @@ Processor::step()
     bool reconfigured = applyReconfig();
     stats_.cycles++;
     stats_.activeClusterSum += activeClusters_;
-    CSIM_CHECK_PROBE(onCycle(activeClusters_));
+    CSIM_OBSERVE(onCycleEnd(activeClusters_));
     lastStepIdle_ = !events && !committed && !retried &&
                     dispatched == 0 && !fetched && !reconfigured;
 }
@@ -233,8 +231,7 @@ Processor::skipIdleCycles(Cycle skip)
       case StallCause::Reg:   stats_.stallReg += skip; break;
       case StallCause::None:  break;
     }
-    CSIM_CHECK_PROBE(onCycle(activeClusters_));
-    CSIM_TRACE(beginCycle(cycle_, activeClusters_));
+    CSIM_OBSERVE(onIdleSkip(cycle_, activeClusters_));
 }
 
 void
@@ -324,7 +321,7 @@ Processor::restore(const Snapshot &s)
 
     // Sequence numbers rewind with the state; an attached invariant
     // checker must not read that as an ordering violation.
-    CSIM_CHECK_PROBE(onStreamRebase());
+    CSIM_OBSERVE(onStreamRebase());
 
     fetch_->restore(s.fetch);
     network_->restore(s.network);
@@ -684,8 +681,7 @@ Processor::doCommit()
         DynInst &head = rob_.head();
         if (!head.completed || head.completeCycle > cycle_)
             break;
-        CSIM_CHECK_PROBE(onCommit(head.seq, head.completed,
-                                  head.completeCycle, cycle_));
+        CSIM_OBSERVE(onCommit(head, cycle_));
 
         const MicroOp &op = head.op;
         if (op.dest != invalidReg) {
@@ -715,7 +711,6 @@ Processor::doCommit()
         if (controller_)
             controller_->onCommit({op.pc, op.op, head.distant, cycle_,
                                    op.isControl() && head.mispredicted});
-        CSIM_TRACE(commit(op.op, head.distant, cycle_));
 
         stats_.committed++;
         rob_.retireHead();
@@ -985,20 +980,16 @@ Processor::applyReconfig()
 {
     int target = activeClusters_;
     if (controller_) {
-        CSIM_CHECK_PROBE(onControllerTarget(
-            controller_->name(), controller_->targetClusters()));
+        CSIM_OBSERVE(onControllerTarget(controller_->name(),
+                                        controller_->targetClusters()));
         target = std::clamp(controller_->targetClusters(),
                             minClusters_, cfg_.numClusters);
     }
 
     if (!cfg_.l1.decentralized) {
         if (target != activeClusters_) {
-            CSIM_CHECK_PROBE(onReconfigApply(activeClusters_, target,
-                                             rob_.size(), lsq_->size(),
-                                             false));
-            CSIM_TRACE(event(TraceEventKind::ReconfigApply, 0,
-                             activeClusters_,
-                             static_cast<std::uint64_t>(target)));
+            CSIM_OBSERVE(onReconfigApply(activeClusters_, target,
+                                         rob_.size(), lsq_->size(), false));
             activeClusters_ = target;
             stats_.reconfigurations++;
             return true;
@@ -1011,9 +1002,9 @@ Processor::applyReconfig()
     if (pendingTarget_ == 0) {
         if (target != activeClusters_) {
             pendingTarget_ = target;
-            CSIM_TRACE(event(TraceEventKind::ReconfigPending, 0,
-                             activeClusters_,
-                             static_cast<std::uint64_t>(target)));
+            CSIM_OBSERVE(onEvent(TraceEventKind::ReconfigPending,
+                                 activeClusters_,
+                                 static_cast<std::uint64_t>(target)));
             return true;
         }
         return false;
@@ -1023,17 +1014,13 @@ Processor::applyReconfig()
         return true;
     }
     if (rob_.empty() && lsq_->size() == 0) {
-        CSIM_CHECK_PROBE(onReconfigApply(activeClusters_, pendingTarget_,
-                                         rob_.size(), lsq_->size(),
-                                         true));
+        CSIM_OBSERVE(onReconfigApply(activeClusters_, pendingTarget_,
+                                     rob_.size(), lsq_->size(), true));
         std::uint64_t flushed = l1_->flushAll(cycle_);
         stats_.flushWritebacks += flushed;
         dispatchStallUntil_ = cycle_ + flushed + 10;
-        CSIM_TRACE(event(TraceEventKind::ReconfigApply, 0,
-                         activeClusters_,
-                         static_cast<std::uint64_t>(pendingTarget_)));
-        CSIM_TRACE(event(TraceEventKind::CacheFlush, 0,
-                         static_cast<std::int64_t>(flushed)));
+        CSIM_OBSERVE(onEvent(TraceEventKind::CacheFlush,
+                             static_cast<std::int64_t>(flushed)));
         activeClusters_ = pendingTarget_;
         pendingTarget_ = 0;
         stats_.reconfigurations++;

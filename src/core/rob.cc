@@ -1,8 +1,7 @@
 #include "core/rob.hh"
 
-#include "check/invariant.hh"
 #include "common/logging.hh"
-#include "trace/trace.hh"
+#include "trace/observer.hh"
 
 // simlint: hot-path
 
@@ -25,8 +24,7 @@ ReorderBuffer::allocate(const MicroOp &op)
     DynInst &inst = slots_[slot(size_)];
     ++size_;
     inst.reset(op, nextSeq_++);
-    CSIM_CHECK_PROBE(onRobAllocate(inst.seq, size_, cap_));
-    CSIM_TRACE(rob(size_));
+    CSIM_OBSERVE(onRobAllocate(inst.seq, size_, cap_));
     return inst;
 }
 
@@ -34,10 +32,9 @@ void
 ReorderBuffer::retireHead()
 {
     CSIM_ASSERT(size_ > 0, "ROB underflow");
-    CSIM_CHECK_PROBE(onRobRetire(slots_[head_].seq));
+    CSIM_OBSERVE(onRobRetire(slots_[head_].seq, size_ - 1));
     head_ = slot(1);
     --size_;
-    CSIM_TRACE(rob(size_));
 }
 
 } // namespace clustersim

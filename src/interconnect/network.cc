@@ -1,8 +1,7 @@
 #include "interconnect/network.hh"
 
-#include "check/invariant.hh"
 #include "common/logging.hh"
-#include "trace/trace.hh"
+#include "trace/observer.hh"
 
 namespace clustersim {
 
@@ -64,12 +63,11 @@ Network::schedule(int src, int dst, Cycle ready)
         depart = arrive; // earliest start of the next hop
     }
 
-    CSIM_CHECK_PROBE(onTransfer(src, dst, static_cast<int>(links.size()),
-                                maxHops_));
+    CSIM_OBSERVE(onTransfer(src, dst, static_cast<int>(links.size()),
+                            maxHops_, arrive - ready));
     transfers_.inc();
     totalHops_.inc(links.size());
     totalLatency_.inc(arrive - ready);
-    CSIM_TRACE(transfer(static_cast<int>(links.size()), arrive - ready));
     return arrive;
 }
 

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 
-#include "check/invariant.hh"
 #include "common/logging.hh"
-#include "trace/trace.hh"
+#include "trace/observer.hh"
 
 // simlint: hot-path
 
@@ -88,8 +87,7 @@ LoadStoreQueue::allocate(InstSeqNum seq, bool is_store, int cluster,
             occupancy_[static_cast<std::size_t>(cluster)]++;
         }
     }
-    CSIM_CHECK_PROBE(onLsqMutate(*this));
-    CSIM_TRACE(lsq(size_));
+    CSIM_OBSERVE(onLsqAllocate(*this));
 }
 
 LsqEntry *
@@ -144,7 +142,7 @@ LoadStoreQueue::setAddress(InstSeqNum seq, Addr addr, int bank,
     // A load blocked on this store's unknown address can now make
     // progress (BlockedOlderStore verdicts wake here).
     wakeWaiters(*e);
-    CSIM_CHECK_PROBE(onLsqMutate(*this));
+    CSIM_OBSERVE(onLsqResolve(*this));
 }
 
 void
@@ -239,7 +237,7 @@ LoadStoreQueue::markAccessed(InstSeqNum seq)
 {
     LsqEntry *e = find(seq);
     CSIM_ASSERT(e, "markAccessed: unknown entry");
-    CSIM_CHECK_PROBE(onLoadAccess(*this, seq));
+    CSIM_OBSERVE(onLoadAccess(*this, seq));
     e->accessed = true;
 }
 
@@ -271,35 +269,7 @@ LoadStoreQueue::release(InstSeqNum seq)
     }
     head_ = slot(1);
     --size_;
-    CSIM_CHECK_PROBE(onLsqRelease(seq));
-    CSIM_CHECK_PROBE(onLsqMutate(*this));
-    CSIM_TRACE(lsq(size_));
-}
-
-void
-LoadStoreQueue::squashAfter(InstSeqNum seq)
-{
-    while (size_ > 0 && at(size_ - 1).seq > seq) {
-        LsqEntry &e = at(size_ - 1);
-        // Squashed waiters are squashed with their loads; drop them.
-        e.loadWaiters.clear();
-        if (distributed_) {
-            if (e.isStore) {
-                if (e.dummyClusters > 0) {
-                    for (int c = 0; c < e.dummyClusters; c++)
-                        occupancy_[static_cast<std::size_t>(c)]--;
-                } else {
-                    occupancy_[static_cast<std::size_t>(e.bank)]--;
-                }
-            } else {
-                occupancy_[static_cast<std::size_t>(e.cluster)]--;
-            }
-        }
-        if (e.isStore)
-            --storeCount_;
-        --size_;
-    }
-    CSIM_CHECK_PROBE(onLsqMutate(*this));
+    CSIM_OBSERVE(onLsqRelease(*this, seq));
 }
 
 const LsqEntry &

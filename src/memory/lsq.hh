@@ -147,9 +147,6 @@ class LoadStoreQueue
     /** Release the entry at commit (entries commit in order). */
     void release(InstSeqNum seq);
 
-    /** Squash all entries younger than seq. */
-    void squashAfter(InstSeqNum seq);
-
     /** Entry accessor (must exist). */
     const LsqEntry &entry(InstSeqNum seq) const;
 

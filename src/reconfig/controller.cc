@@ -1,6 +1,6 @@
 #include "reconfig/controller.hh"
 
-#include "trace/trace.hh"
+#include "trace/observer.hh"
 
 namespace clustersim {
 
@@ -8,11 +8,8 @@ void
 ReconfigController::attach(int hw_clusters, int initial)
 {
     hwClusters_ = hw_clusters;
-    CSIM_TRACE(event(TraceEventKind::ControllerAttach, 0, initial,
-                     static_cast<std::uint64_t>(hw_clusters)));
-#if !CLUSTERSIM_TRACE_ENABLED
-    (void)initial;
-#endif
+    CSIM_OBSERVE(onEvent(TraceEventKind::ControllerAttach, initial,
+                         static_cast<std::uint64_t>(hw_clusters)));
 }
 
 } // namespace clustersim

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 
-#include "check/invariant.hh"
 #include "common/logging.hh"
-#include "trace/trace.hh"
+#include "trace/observer.hh"
 
 namespace clustersim {
 
@@ -41,7 +40,7 @@ FinegrainController::attach(int hw_clusters, int initial)
     tableFlushes_ = 0;
     tableConflicts_ = 0;
 
-    CSIM_CHECK_PROBE(onControllerAttach(name(), hw_clusters, target_));
+    CSIM_OBSERVE(onControllerAttach(name(), hw_clusters, target_));
 }
 
 FinegrainController::TableEntry &
@@ -71,8 +70,8 @@ FinegrainController::onCommit(const CommitEvent &ev)
         tableFlushes_++;
         for (auto &e : table_)
             e = TableEntry{};
-        CSIM_TRACE(event(TraceEventKind::TableFlush, 0,
-                         static_cast<std::int64_t>(tableFlushes_)));
+        CSIM_OBSERVE(onEvent(TraceEventKind::TableFlush,
+                             static_cast<std::int64_t>(tableFlushes_)));
     }
 
     bool point = isReconfigPoint(ev);
@@ -87,8 +86,8 @@ FinegrainController::onCommit(const CommitEvent &ev)
             target_ = params_.bigConfig;
         }
         if (target_ != prev)
-            CSIM_TRACE(event(TraceEventKind::TargetChange, 0, target_,
-                             ev.pc));
+            CSIM_OBSERVE(
+                onEvent(TraceEventKind::TargetChange, target_, ev.pc));
     }
 
     // Window bookkeeping; when a sampled branch leaves the window we
@@ -104,9 +103,9 @@ FinegrainController::onCommit(const CommitEvent &ev)
             // could ever accumulate samplesNeeded. The loser's sample
             // is dropped; the slot frees up at the next table flush.
             tableConflicts_++;
-            CSIM_TRACE(event(TraceEventKind::TableConflict, 0,
-                             static_cast<std::int64_t>(e.samples),
-                             old.pc));
+            CSIM_OBSERVE(onEvent(TraceEventKind::TableConflict,
+                                 static_cast<std::int64_t>(e.samples),
+                                 old.pc));
             return;
         }
         if (!e.valid) {
@@ -124,8 +123,8 @@ FinegrainController::onCommit(const CommitEvent &ev)
                     ? params_.bigConfig
                     : params_.smallConfig;
                 e.decided = true;
-                CSIM_TRACE(event(TraceEventKind::TableDecide, 0,
-                                 e.advice, old.pc, avg));
+                CSIM_OBSERVE(onEvent(TraceEventKind::TableDecide,
+                                     e.advice, old.pc, avg));
             }
         }
     }

@@ -1,8 +1,7 @@
 #include "reconfig/ineffectuality.hh"
 
-#include "check/invariant.hh"
 #include "common/logging.hh"
-#include "trace/trace.hh"
+#include "trace/observer.hh"
 
 namespace clustersim {
 
@@ -45,7 +44,7 @@ IneffectualityController::attach(int hw_clusters, int initial)
     predictedWasted_ = 0.0;
     lastFraction_ = 0.0;
 
-    CSIM_CHECK_PROBE(onControllerAttach(name(), hw_clusters, target_));
+    CSIM_OBSERVE(onControllerAttach(name(), hw_clusters, target_));
 }
 
 void
@@ -77,15 +76,15 @@ IneffectualityController::endInterval()
         ladderIdx_--;
         gateEvents_++;
         target_ = params_.configs[ladderIdx_];
-        CSIM_TRACE(event(TraceEventKind::TargetChange, 0, target_,
-                         intervals_, lastFraction_));
+        CSIM_OBSERVE(onEvent(TraceEventKind::TargetChange, target_,
+                             intervals_, lastFraction_));
     } else if (lastFraction_ < params_.ungateThreshold &&
                ladderIdx_ + 1 < params_.configs.size()) {
         ladderIdx_++;
         ungateEvents_++;
         target_ = params_.configs[ladderIdx_];
-        CSIM_TRACE(event(TraceEventKind::TargetChange, 0, target_,
-                         intervals_, lastFraction_));
+        CSIM_OBSERVE(onEvent(TraceEventKind::TargetChange, target_,
+                             intervals_, lastFraction_));
     }
 }
 

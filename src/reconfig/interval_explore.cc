@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "check/invariant.hh"
 #include "common/logging.hh"
-#include "trace/trace.hh"
+#include "trace/observer.hh"
 
 namespace clustersim {
 
@@ -62,7 +61,7 @@ IntervalExploreController::attach(int hw_clusters, int initial)
     chgMem_ = 0;
     chgIpc_ = 0;
 
-    CSIM_CHECK_PROBE(onControllerAttach(name(), hw_clusters, target_));
+    CSIM_OBSERVE(onControllerAttach(name(), hw_clusters, target_));
 }
 
 void
@@ -115,8 +114,8 @@ IntervalExploreController::endInterval(Cycle now)
         exploreIdx_ = 0;
         target_ = params_.configs[0];
         explorations_++;
-        CSIM_TRACE(event(TraceEventKind::ExploreStart, 0, target_,
-                         intervalLength_));
+        CSIM_OBSERVE(onEvent(TraceEventKind::ExploreStart, target_,
+                             intervalLength_));
         return;
     }
 
@@ -131,8 +130,8 @@ IntervalExploreController::endInterval(Cycle now)
                 chgBranch_++;
             if (mem_change)
                 chgMem_++;
-            CSIM_TRACE(event(TraceEventKind::ExploreAbort, 0,
-                             static_cast<std::int64_t>(exploreIdx_)));
+            CSIM_OBSERVE(onEvent(TraceEventKind::ExploreAbort,
+                                 static_cast<std::int64_t>(exploreIdx_)));
             phaseChange();
             return;
         }
@@ -140,8 +139,8 @@ IntervalExploreController::endInterval(Cycle now)
         exploreIdx_++;
         if (exploreIdx_ < params_.configs.size()) {
             target_ = params_.configs[exploreIdx_];
-            CSIM_TRACE(event(TraceEventKind::ExploreStep, 0, target_,
-                             0, ipc));
+            CSIM_OBSERVE(
+                onEvent(TraceEventKind::ExploreStep, target_, 0, ipc));
             return;
         }
         // Exploration complete: adopt the best configuration and use
@@ -159,15 +158,15 @@ IntervalExploreController::endInterval(Cycle now)
             // interval boundary instead of entering the stable state.
             failedExplorations_++;
             haveReference_ = false;
-            CSIM_TRACE(event(TraceEventKind::ExploreAbort, 0, -1,
-                             failedExplorations_));
+            CSIM_OBSERVE(onEvent(TraceEventKind::ExploreAbort, -1,
+                                 failedExplorations_));
             return;
         }
         target_ = params_.configs[best];
         refIpc_ = exploreIpc_[best];
         stable_ = true;
-        CSIM_TRACE(event(TraceEventKind::ExploreAdopt, 0, target_, 0,
-                         refIpc_));
+        CSIM_OBSERVE(onEvent(TraceEventKind::ExploreAdopt, target_, 0,
+                             refIpc_));
         return;
     }
 
@@ -203,14 +202,14 @@ IntervalExploreController::phaseChange()
     stable_ = false;
     numIpcVariations_ = 0.0;
     instability_ += 2.0;
-    CSIM_TRACE(event(TraceEventKind::PhaseChange, 0,
-                     static_cast<std::int64_t>(phaseChanges_), 0,
-                     instability_));
+    CSIM_OBSERVE(onEvent(TraceEventKind::PhaseChange,
+                         static_cast<std::int64_t>(phaseChanges_), 0,
+                         instability_));
     if (instability_ > params_.thresh2) {
         intervalLength_ *= 2;
         instability_ = 0.0;
-        CSIM_TRACE(event(TraceEventKind::IntervalDouble, 0, 0,
-                         intervalLength_));
+        CSIM_OBSERVE(onEvent(TraceEventKind::IntervalDouble, 0,
+                             intervalLength_));
         if (intervalLength_ > params_.maxInterval) {
             // Give up on reconfiguration; settle on the most popular
             // configuration observed so far.
@@ -233,8 +232,8 @@ IntervalExploreController::phaseChange()
             // cheapest choice in leakage).
             if (!have_best)
                 target_ = params_.configs.front();
-            CSIM_TRACE(event(TraceEventKind::Discontinue, 0, target_,
-                             intervalLength_));
+            CSIM_OBSERVE(onEvent(TraceEventKind::Discontinue, target_,
+                                 intervalLength_));
         }
     }
 }

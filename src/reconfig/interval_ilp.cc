@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "check/invariant.hh"
 #include "common/logging.hh"
-#include "trace/trace.hh"
+#include "trace/observer.hh"
 
 namespace clustersim {
 
@@ -43,7 +42,7 @@ IntervalIlpController::attach(int hw_clusters, int initial)
     refIpcValid_ = false;
     phaseChanges_ = 0;
 
-    CSIM_CHECK_PROBE(onControllerAttach(name(), hw_clusters, target_));
+    CSIM_OBSERVE(onControllerAttach(name(), hw_clusters, target_));
 }
 
 void
@@ -95,8 +94,8 @@ IntervalIlpController::endInterval(Cycle now)
         target_ = per_mille > params_.distantPerMille
             ? params_.bigConfig
             : params_.smallConfig;
-        CSIM_TRACE(event(TraceEventKind::IlpDecide, 0, target_, distant,
-                         per_mille));
+        CSIM_OBSERVE(onEvent(TraceEventKind::IlpDecide, target_, distant,
+                             per_mille));
         measuring_ = false;
         haveReference_ = true;
         refBranches_ = branches;
@@ -121,9 +120,9 @@ IntervalIlpController::endInterval(Cycle now)
         measuring_ = true;
         haveReference_ = false;
         target_ = params_.bigConfig;
-        CSIM_TRACE(event(TraceEventKind::PhaseChange, 0,
-                         static_cast<std::int64_t>(phaseChanges_), 0,
-                         ipc));
+        CSIM_OBSERVE(onEvent(TraceEventKind::PhaseChange,
+                             static_cast<std::int64_t>(phaseChanges_), 0,
+                             ipc));
     }
 }
 

@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <limits>
 
-#include "check/invariant.hh"
 #include "common/logging.hh"
-#include "trace/trace.hh"
+#include "trace/observer.hh"
 
 namespace clustersim {
 
@@ -103,7 +102,7 @@ OracleController::attach(int hw_clusters, int initial)
     ReconfigController::attach(hw_clusters, initial);
     committed_ = 0;
     target_ = targetAt(0);
-    CSIM_CHECK_PROBE(onControllerAttach(name(), hw_clusters, target_));
+    CSIM_OBSERVE(onControllerAttach(name(), hw_clusters, target_));
 }
 
 void
@@ -113,8 +112,8 @@ OracleController::onCommit(const CommitEvent &)
     int t = targetAt(committed_);
     if (t != target_) {
         target_ = t;
-        CSIM_TRACE(event(TraceEventKind::TargetChange, 0, target_,
-                         committed_));
+        CSIM_OBSERVE(onEvent(TraceEventKind::TargetChange, target_,
+                             committed_));
     }
 }
 

@@ -22,18 +22,28 @@ parseError(const std::string &code, const std::string &message)
     return out;
 }
 
-/** Non-negative integer member with a default; fatal() on bad kinds
- *  is converted to a bad_request by the caller's catch. */
-std::uint64_t
-u64Member(const JsonValue &obj, const std::string &key,
-          std::uint64_t fallback)
+/**
+ * Read the non-negative integer member key of obj into out, 0 when the
+ * member is absent. False when it is present with any other value.
+ */
+bool
+u64Member(const JsonValue &obj, const std::string &key, std::uint64_t &out)
 {
+    out = 0;
     if (!obj.has(key))
-        return fallback;
+        return true;
     const JsonValue &v = obj.at(key);
     if (!v.isIntegral() || v.asInt() < 0)
-        fatal("member '", key, "' must be a non-negative integer");
-    return static_cast<std::uint64_t>(v.asInt());
+        return false;
+    out = static_cast<std::uint64_t>(v.asInt());
+    return true;
+}
+
+ParsedRequest
+badMember(const std::string &key)
+{
+    return parseError("bad_request",
+                      "member '" + key + "' must be a non-negative integer");
 }
 
 } // namespace
@@ -45,70 +55,70 @@ parseRequest(const std::string &line)
         return parseError("oversized",
                           "frame exceeds " +
                               std::to_string(maxFrameBytes) + " bytes");
-#if defined(__cpp_exceptions) || defined(__EXCEPTIONS)
+    JsonValue doc;
     try {
-#endif
-        JsonValue doc = parseJson(line);
-        if (!doc.isObject())
-            return parseError("bad_request", "frame must be an object");
-        if (!doc.has("type") || !doc.at("type").isString())
-            return parseError("bad_request",
-                              "frame needs a string 'type' member");
-        const std::string &type = doc.at("type").asString();
-
-        ParsedRequest out;
-        out.ok = true;
-        if (type == "submit") {
-            out.req.kind = Request::Kind::Submit;
-            if (!doc.has("preset") || !doc.at("preset").isString())
-                return parseError("bad_request",
-                                  "submit needs a string 'preset'");
-            out.req.submit.preset = doc.at("preset").asString();
-            out.req.submit.warmup = u64Member(doc, "warmup", 0);
-            out.req.submit.measure = u64Member(doc, "measure", 0);
-            if (doc.has("overrides")) {
-                const JsonValue &ov = doc.at("overrides");
-                if (!ov.isObject())
-                    return parseError("bad_request",
-                                      "'overrides' must be an object");
-                std::uint64_t active = u64Member(ov, "active_clusters", 0);
-                if (active > static_cast<std::uint64_t>(maxClusters))
-                    return parseError("bad_request",
-                                      "'active_clusters' must be at most " +
-                                          std::to_string(maxClusters));
-                out.req.submit.activeClusters = static_cast<int>(active);
-            }
-            return out;
-        }
-        if (type == "stats") {
-            out.req.kind = Request::Kind::Stats;
-            return out;
-        }
-        if (type == "ping") {
-            out.req.kind = Request::Kind::Ping;
-            return out;
-        }
-        if (type == "cancel") {
-            out.req.kind = Request::Kind::Cancel;
-            out.req.job = u64Member(doc, "job", 0);
-            if (out.req.job == 0)
-                return parseError("bad_request",
-                                  "cancel needs a 'job' id");
-            return out;
-        }
-        if (type == "shutdown") {
-            out.req.kind = Request::Kind::Shutdown;
-            return out;
-        }
-        return parseError("unknown_type",
-                          "unknown frame type '" + type + "'");
-#if defined(__cpp_exceptions) || defined(__EXCEPTIONS)
+        doc = parseJson(line);
     } catch (const SimError &e) {
-        // parseJson and the member accessors report malformed input
-        // through fatal(); surface it as a structured parse error.
+        // parseJson reports malformed input through fatal(); only input
+        // that is not JSON at all is a parse error.
         return parseError("parse", e.what());
     }
-#endif
+    if (!doc.isObject())
+        return parseError("bad_request", "frame must be an object");
+    if (!doc.has("type") || !doc.at("type").isString())
+        return parseError("bad_request",
+                          "frame needs a string 'type' member");
+    const std::string &type = doc.at("type").asString();
+
+    ParsedRequest out;
+    out.ok = true;
+    if (type == "submit") {
+        out.req.kind = Request::Kind::Submit;
+        if (!doc.has("preset") || !doc.at("preset").isString())
+            return parseError("bad_request",
+                              "submit needs a string 'preset'");
+        out.req.submit.preset = doc.at("preset").asString();
+        if (!u64Member(doc, "warmup", out.req.submit.warmup))
+            return badMember("warmup");
+        if (!u64Member(doc, "measure", out.req.submit.measure))
+            return badMember("measure");
+        if (doc.has("overrides")) {
+            const JsonValue &ov = doc.at("overrides");
+            if (!ov.isObject())
+                return parseError("bad_request",
+                                  "'overrides' must be an object");
+            std::uint64_t active = 0;
+            if (!u64Member(ov, "active_clusters", active))
+                return badMember("active_clusters");
+            if (active > static_cast<std::uint64_t>(maxClusters))
+                return parseError("bad_request",
+                                  "'active_clusters' must be at most " +
+                                      std::to_string(maxClusters));
+            out.req.submit.activeClusters = static_cast<int>(active);
+        }
+        return out;
+    }
+    if (type == "stats") {
+        out.req.kind = Request::Kind::Stats;
+        return out;
+    }
+    if (type == "ping") {
+        out.req.kind = Request::Kind::Ping;
+        return out;
+    }
+    if (type == "cancel") {
+        out.req.kind = Request::Kind::Cancel;
+        if (!u64Member(doc, "job", out.req.job))
+            return badMember("job");
+        if (out.req.job == 0)
+            return parseError("bad_request", "cancel needs a 'job' id");
+        return out;
+    }
+    if (type == "shutdown") {
+        out.req.kind = Request::Kind::Shutdown;
+        return out;
+    }
+    return parseError("unknown_type", "unknown frame type '" + type + "'");
 }
 
 std::string

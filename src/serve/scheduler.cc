@@ -390,7 +390,6 @@ PointScheduler::executeTask(const Task &task)
     SweepResult res;
     bool run_failed = false;
     std::string error;
-#if defined(__cpp_exceptions) || defined(__EXCEPTIONS)
     try {
         ScopedPanicRethrow rethrow;
         res = runSweep({task.point}, opts);
@@ -398,9 +397,6 @@ PointScheduler::executeTask(const Task &task)
         run_failed = true;
         error = e.what();
     }
-#else
-    res = runSweep({task.point}, opts);
-#endif
 
     std::string payload;
     bool warm = false;

@@ -1,9 +1,6 @@
 #include "sim/simulation.hh"
 
-#include <optional>
-
 #include "check/invariant.hh"
-#include "trace/trace.hh"
 
 namespace clustersim {
 
@@ -12,16 +9,7 @@ runSimulation(const ProcessorConfig &cfg, const WorkloadSpec &workload,
               ReconfigController *controller, std::uint64_t warmup,
               std::uint64_t measure)
 {
-    // In a check build, validate every simulation by default: install a
-    // fail-fast checker unless the caller (tests, the fuzz driver)
-    // already put one in scope.
-    std::optional<InvariantChecker> own_checker;
-    std::optional<CheckScope> own_scope;
-    if (CLUSTERSIM_CHECK_ENABLED && !currentChecker()) {
-        own_checker.emplace(/*fail_fast=*/true);
-        own_scope.emplace(*own_checker);
-    }
-
+    DefaultObserverScope observer;
     SyntheticWorkload trace(workload);
     Processor proc(cfg, &trace, controller);
 
@@ -39,16 +27,13 @@ runSimulation(const ProcessorConfig &cfg, const WorkloadSpec &workload,
 SimResult
 measureWindow(Processor &proc, std::uint64_t measure)
 {
-    // Observation only: the sink calls below never feed back into the
-    // simulation, so results are bit-identical with or without a sink
-    // in scope. This is cold, always-compiled code (runtime-gated on
-    // the installed sink, unlike the CSIM_TRACE hot-path hooks).
-    if (TraceSink *sink = currentTraceSink()) {
-        sink->event(TraceEventKind::MeasureStart, 0, 0, proc.cycle());
-        // The time series describes the measurement window only, like
-        // every other SimResult metric: drop warmup rows.
-        sink->timeSeries().reset();
-    }
+    // The milestones are cold, always-compiled code (runtime-gated on
+    // the installed observer, unlike the CSIM_OBSERVE hot-path hooks).
+    // Observation never feeds back into the simulation, so results are
+    // bit-identical with or without an observer in scope.
+    Observer *observer = currentObserver();
+    if (observer)
+        observer->onMeasureStart(proc.cycle());
 
     SimResult res;
 
@@ -90,17 +75,8 @@ measureWindow(Processor &proc, std::uint64_t measure)
         ? 1.0 - static_cast<double>(st.bankMispredicts) /
                     static_cast<double>(st.bankLookups)
         : 1.0;
-    if (TraceSink *sink = currentTraceSink()) {
-        sink->event(TraceEventKind::MeasureEnd, 0, 0, proc.cycle());
-        // Keep the documented invariant "interval is 0 when the
-        // series is empty": a non-trace build (or a run shorter than
-        // one interval) records no rows even with a recorder enabled.
-        if (sink->timeSeries().enabled() &&
-            !sink->timeSeries().rows().empty()) {
-            res.timeSeries = sink->timeSeries().rows();
-            res.timeSeriesInterval = sink->timeSeries().interval();
-        }
-    }
+    if (observer)
+        observer->onMeasureEnd(proc.cycle(), res);
     return res;
 }
 

@@ -31,16 +31,18 @@ struct SimResult {
     double avgActiveClusters = 0.0;
     std::uint64_t reconfigurations = 0;
     std::uint64_t flushWritebacks = 0;
-    /** Mean cross-cluster register-transfer latency, cycles. */
+    /** Mean latency of every interconnect transfer (register operands,
+     *  load/store addresses and data, broadcasts), cycles. */
     double avgRegCommLatency = 0.0;
     /** Fraction of issued instructions that were distant. */
     double distantFraction = 0.0;
     double bankPredAccuracy = 0.0;
     /**
      * Per-interval time series of the measurement window. Populated
-     * only when a TraceSink with an enabled TimeSeriesRecorder is in
-     * scope during the run (see trace/trace.hh); empty otherwise, and
-     * omitted from JSON reports when empty.
+     * only when a TraceSink with an enabled TimeSeriesRecorder is the
+     * observer in scope during a run of an observe build (see
+     * trace/trace.hh); empty otherwise, and omitted from JSON reports
+     * when empty.
      */
     std::vector<TimeSeriesRow> timeSeries;
     /** Interval length (instructions) of timeSeries; 0 when empty. */
@@ -65,7 +67,7 @@ struct SimResult {
         v("avg_reg_comm_latency", avgRegCommLatency);
         v("distant_fraction", distantFraction);
         v("bank_pred_accuracy", bankPredAccuracy);
-        // Present only when a trace-build run recorded a series:
+        // Present only when an observe-build run recorded a series:
         // default builds must keep golden reports byte-identical, and
         // the golden differ treats a key present on one side as a
         // mismatch.

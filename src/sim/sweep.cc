@@ -55,14 +55,7 @@ runCheckpointed(WarmupCheckpointStore &store, const std::string &key,
                 ReconfigController *controller, std::uint64_t warmup,
                 std::uint64_t measure, SimResult &res)
 {
-    // Mirror runSimulation(): in a check build, validate by default.
-    std::optional<InvariantChecker> own_checker;
-    std::optional<CheckScope> own_scope;
-    if (CLUSTERSIM_CHECK_ENABLED && !currentChecker()) {
-        own_checker.emplace(/*fail_fast=*/true);
-        own_scope.emplace(*own_checker);
-    }
-
+    DefaultObserverScope observer;
     SyntheticWorkload trace(workload);
     Processor proc(cfg, &trace, controller);
 
@@ -611,7 +604,7 @@ summarizeSweep(const std::vector<RunPoint> &points, const SweepResult &res)
             l.ipc[b] = r.ipc;
             latency.push_back(r.avgRegCommLatency);
         }
-        l.regCommLatencyMean = amean(latency);
+        l.transferLatencyMean = amean(latency);
         g.labels.push_back(std::move(l));
     }
     for (SweepSummary::Group &g : out.groups)
@@ -650,7 +643,7 @@ SweepSummary::format() const
 
         Table per_label({"label", "vs " + g.labels.front().label,
                          "vs best fixed", "vs best static", "active",
-                         "leakage saved", "reg comm cycles"});
+                         "leakage saved", "transfer cycles"});
         for (const Label &l : g.labels) {
             per_label.startRow();
             per_label.cell(l.label);
@@ -659,7 +652,7 @@ SweepSummary::format() const
             numberCell(per_label, l.vsBestStatic, 3);
             per_label.cell(l.activeMean, 2);
             per_label.cell(l.leakageSavingsMean, 3);
-            per_label.cell(l.regCommLatencyMean, 2);
+            per_label.cell(l.transferLatencyMean, 2);
         }
         out += title + "geomean IPC ratios; means across benchmarks\n" +
                per_label.format() + "\n";

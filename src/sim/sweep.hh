@@ -232,7 +232,8 @@ struct SweepSummary {
         double vsBestStatic = 0.0; ///< NaN when not applicable
         double activeMean = 0.0;
         double leakageSavingsMean = 0.0;
-        double regCommLatencyMean = 0.0;
+        /** Mean interconnect transfer latency (avg_reg_comm_latency). */
+        double transferLatencyMean = 0.0;
     };
     struct Group {
         std::string name; ///< label prefix; empty for unprefixed labels

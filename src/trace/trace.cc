@@ -4,13 +4,13 @@
 
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "core/dyn_inst.hh"
+#include "memory/lsq.hh"
+#include "sim/simulation.hh"
 
 namespace clustersim {
 
 namespace {
-
-/** Thread-current sink (same shape as the invariant checker's). */
-thread_local TraceSink *currentSink = nullptr;
 
 const char *const eventNames[numTraceEventKinds] = {
     "controller_attach", "target_change",   "explore_start",
@@ -61,11 +61,43 @@ TraceSink::record(TraceEventKind kind, std::uint16_t unit,
 }
 
 void
-TraceSink::event(TraceEventKind kind, int unit, std::int64_t arg,
-                 std::uint64_t aux, double val)
+TraceSink::onCommit(const DynInst &head, Cycle now)
 {
-    record(kind, static_cast<std::uint16_t>(unit),
-           static_cast<std::int32_t>(arg), aux, val);
+    series_.onCommit(head.op.op, head.distant, now, activeClusters_);
+}
+
+void
+TraceSink::onLsqAllocate(const LoadStoreQueue &lsq)
+{
+    lsqOcc_ = lsq.size();
+}
+
+void
+TraceSink::onLsqRelease(const LoadStoreQueue &lsq, InstSeqNum)
+{
+    lsqOcc_ = lsq.size();
+}
+
+void
+TraceSink::onMeasureStart(Cycle cycle)
+{
+    onEvent(TraceEventKind::MeasureStart, 0, cycle, 0.0);
+    // The time series describes the measurement window only, like
+    // every other SimResult metric: drop warmup rows.
+    series_.reset();
+}
+
+void
+TraceSink::onMeasureEnd(Cycle cycle, SimResult &res)
+{
+    onEvent(TraceEventKind::MeasureEnd, 0, cycle, 0.0);
+    // Keep the documented invariant "interval is 0 when the series is
+    // empty": a default build (or a run shorter than one interval)
+    // records no rows even with a recorder enabled.
+    if (series_.enabled() && !series_.rows().empty()) {
+        res.timeSeries = series_.rows();
+        res.timeSeriesInterval = series_.interval();
+    }
 }
 
 void
@@ -213,22 +245,6 @@ perfettoJson(const TraceSink &sink)
     w.endArray();
     w.endObject();
     return w.str();
-}
-
-TraceSink *
-currentTraceSink()
-{
-    return currentSink;
-}
-
-TraceScope::TraceScope(TraceSink &sink) : prev_(currentSink)
-{
-    currentSink = &sink;
-}
-
-TraceScope::~TraceScope()
-{
-    currentSink = prev_;
 }
 
 } // namespace clustersim

@@ -1,28 +1,37 @@
-// simlint fixture: T001 must fire on trace-sink access that bypasses
-// the CSIM_TRACE compile-time gate in hot-path code; cold regions
+// simlint fixture: T001 must fire on observer access that bypasses
+// the CSIM_OBSERVE compile-time gate in hot-path code; cold regions
 // (construction-time wiring) are exempt.
 // simlint: hot-path
 
 // simlint: cold-begin -- declarations and attach-time wiring
 namespace clustersim {
+class Observer;
+class ObserverScope;
 class TraceSink;
-TraceSink *currentTraceSink();
+class InvariantChecker;
+Observer *currentObserver();
 } // namespace clustersim
 
 void
-attachSink()
+attachObserver()
 {
-    clustersim::TraceSink *sink = clustersim::currentTraceSink();
-    (void)sink;
+    clustersim::Observer *observer = clustersim::currentObserver();
+    (void)observer;
 }
 // simlint: cold-end
 
 void
 issueOne(int cluster, int occupancy)
 {
-    // Always-compiled hook: the default build would pay for this load.
-    if (clustersim::TraceSink *sink = clustersim::currentTraceSink())
-        (void)sink;
+    // Always-compiled hooks: the default build would pay for each.
+    if (clustersim::Observer *observer = clustersim::currentObserver())
+        (void)observer;
+    clustersim::ObserverScope *scope = nullptr;
+    clustersim::TraceSink *sink = nullptr;
+    clustersim::InvariantChecker *checker = nullptr;
+    (void)scope;
+    (void)sink;
+    (void)checker;
     (void)cluster;
     (void)occupancy;
 }

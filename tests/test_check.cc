@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the validation subsystem: every InvariantChecker rule
- * triggered directly in recording mode, the CheckScope installation
+ * triggered directly in recording mode, the ObserverScope installation
  * contract, limit derivation from processor configurations, the JSON
  * reader, and the golden-run differential machinery.
  */
@@ -17,6 +17,7 @@
 #include "common/json.hh"
 #include "common/json_reader.hh"
 #include "common/logging.hh"
+#include "core/dyn_inst.hh"
 #include "memory/lsq.hh"
 #include "sim/presets.hh"
 #include "sim/simulation.hh"
@@ -32,6 +33,17 @@ recordingChecker()
     InvariantChecker c(/*fail_fast=*/false);
     c.configure(CheckLimits{});
     return c;
+}
+
+/** A ROB head as the commit stage sees it. */
+DynInst
+head(InstSeqNum seq, bool completed, Cycle complete_cycle)
+{
+    DynInst inst;
+    inst.seq = seq;
+    inst.completed = completed;
+    inst.completeCycle = complete_cycle;
+    return inst;
 }
 
 /** The single rule id of a checker expected to hold one violation. */
@@ -161,32 +173,32 @@ TEST(InvariantRules, RobCapacityEnforced)
 TEST(InvariantRules, RobRetireMustBeInOrder)
 {
     InvariantChecker c = recordingChecker();
-    c.onRobRetire(1);
-    c.onRobRetire(2);
+    c.onRobRetire(1, 0);
+    c.onRobRetire(2, 0);
     EXPECT_TRUE(c.ok());
-    c.onRobRetire(4);
+    c.onRobRetire(4, 0);
     EXPECT_EQ(soleRule(c), "rob-commit-order");
 }
 
 TEST(InvariantRules, CommitRequiresCompletion)
 {
     InvariantChecker c = recordingChecker();
-    c.onCommit(1, /*completed=*/false, 0, 100);
+    c.onCommit(head(1, /*completed=*/false, 0), 100);
     EXPECT_EQ(soleRule(c), "commit-incomplete");
 }
 
 TEST(InvariantRules, CommitMustNotPrecedeCompletion)
 {
     InvariantChecker c = recordingChecker();
-    c.onCommit(1, true, /*complete_cycle=*/120, /*now=*/100);
+    c.onCommit(head(1, true, /*complete_cycle=*/120), /*now=*/100);
     EXPECT_EQ(soleRule(c), "commit-time");
 }
 
 TEST(InvariantRules, CommitMustBeInProgramOrder)
 {
     InvariantChecker c = recordingChecker();
-    c.onCommit(1, true, 50, 100);
-    c.onCommit(3, true, 50, 101); // skipped seq 2
+    c.onCommit(head(1, true, 50), 100);
+    c.onCommit(head(3, true, 50), 101); // skipped seq 2
     EXPECT_EQ(soleRule(c), "commit-order");
 }
 
@@ -204,10 +216,10 @@ TEST(InvariantRules, CentralizedLsqOccupancyCap)
 
     LoadStoreQueue lsq(/*distributed=*/false, 1, 15);
     lsq.allocate(1, false, 0, 1);
-    c.onLsqMutate(lsq);
+    c.onLsqAllocate(lsq);
     EXPECT_TRUE(c.ok());
     lsq.allocate(2, false, 0, 1);
-    c.onLsqMutate(lsq);
+    c.onLsqAllocate(lsq);
     EXPECT_EQ(soleRule(c), "lsq-occupancy");
 }
 
@@ -217,7 +229,7 @@ TEST(InvariantRules, DistributedLsqOccupancyWithinLimits)
     LoadStoreQueue lsq(/*distributed=*/true, 4, 15);
     for (InstSeqNum s = 1; s <= 10; s++)
         lsq.allocate(s, (s % 3) == 0, static_cast<int>(s) % 4, 4);
-    c.onLsqMutate(lsq);
+    c.onLsqAllocate(lsq);
     EXPECT_TRUE(c.ok());
 }
 
@@ -248,10 +260,11 @@ TEST(InvariantRules, LoadMayIssueOnceOlderStoreResolves)
 TEST(InvariantRules, LsqReleaseMustBeMonotonic)
 {
     InvariantChecker c = recordingChecker();
-    c.onLsqRelease(5);
-    c.onLsqRelease(6);
+    LoadStoreQueue lsq(/*distributed=*/false, 16, 15);
+    c.onLsqRelease(lsq, 5);
+    c.onLsqRelease(lsq, 6);
     EXPECT_TRUE(c.ok());
-    c.onLsqRelease(6); // replayed release
+    c.onLsqRelease(lsq, 6); // replayed release
     EXPECT_EQ(soleRule(c), "lsq-release-order");
 }
 
@@ -262,23 +275,23 @@ TEST(InvariantRules, LsqReleaseMustBeMonotonic)
 TEST(InvariantRules, TransferEndpointsMustBeClusters)
 {
     InvariantChecker c = recordingChecker();
-    c.onTransfer(0, 15, 8, 8);
+    c.onTransfer(0, 15, 8, 8, 0);
     EXPECT_TRUE(c.ok());
-    c.onTransfer(0, 16, 1, 8);
+    c.onTransfer(0, 16, 1, 8, 0);
     EXPECT_EQ(soleRule(c), "transfer-endpoints");
 }
 
 TEST(InvariantRules, HopCountBoundedByTopology)
 {
     InvariantChecker c = recordingChecker();
-    c.onTransfer(0, 1, 9, 8); // longer than the topology's diameter
+    c.onTransfer(0, 1, 9, 8, 0); // longer than the topology's diameter
     EXPECT_EQ(soleRule(c), "hop-bound");
 }
 
 TEST(InvariantRules, HopCountMustBePositive)
 {
     InvariantChecker c = recordingChecker();
-    c.onTransfer(0, 1, 0, 8); // the network never moves data in 0 hops
+    c.onTransfer(0, 1, 0, 8, 0); // the network never moves data in 0 hops
     EXPECT_EQ(soleRule(c), "hop-bound");
 }
 
@@ -289,9 +302,9 @@ TEST(InvariantRules, HopCountBoundedByPaperTopologyMaximum)
     lim.hardHopBound = 6; // 4x4 grid
     lim.maxHops = 6;
     c.configure(lim);
-    c.onTransfer(0, 15, 6, 8);
+    c.onTransfer(0, 15, 6, 8, 0);
     EXPECT_TRUE(c.ok());
-    c.onTransfer(0, 15, 7, 8); // within the claimed topology max but
+    c.onTransfer(0, 15, 7, 8, 0); // within the claimed topology max but
     EXPECT_EQ(soleRule(c), "hop-bound"); // above the grid's bound
 }
 
@@ -373,10 +386,10 @@ TEST(InvariantRules, DecentralizedReconfigRequiresFullDrain)
 TEST(InvariantRules, ActiveClusterCountWithinRange)
 {
     InvariantChecker c = recordingChecker();
-    c.onCycle(2);
-    c.onCycle(16);
+    c.onCycleEnd(2);
+    c.onCycleEnd(16);
     EXPECT_TRUE(c.ok());
-    c.onCycle(0);
+    c.onCycleEnd(0);
     EXPECT_EQ(soleRule(c), "active-range");
 }
 
@@ -385,7 +398,7 @@ TEST(InvariantRules, ActiveClusterCountBelowViableMinimum)
     // One active Table 1 cluster has 30 physical registers for 32
     // architectural ones: rename deadlocks, so the checker flags it.
     InvariantChecker c = recordingChecker();
-    c.onCycle(1);
+    c.onCycleEnd(1);
     EXPECT_EQ(soleRule(c), "active-range");
 }
 
@@ -414,13 +427,13 @@ TEST(CheckerMechanics, RecordingModeCapsViolations)
 TEST(CheckerMechanics, ResetClearsViolationsAndSequencing)
 {
     InvariantChecker c = recordingChecker();
-    c.onRobRetire(5);
+    c.onRobRetire(5, 0);
     c.onClusterIq(0, false, 99);
     ASSERT_FALSE(c.ok());
     c.reset();
     EXPECT_TRUE(c.ok());
     EXPECT_EQ(c.probeCount(), 0u);
-    c.onRobRetire(9); // no stale "after seq 5" ordering state
+    c.onRobRetire(9, 0); // no stale "after seq 5" ordering state
     EXPECT_TRUE(c.ok());
 }
 
@@ -428,8 +441,8 @@ TEST(CheckerMechanics, SummaryNamesEveryRule)
 {
     InvariantChecker c = recordingChecker();
     c.onClusterIq(0, false, 99);
-    c.onRobRetire(7);
-    c.onRobRetire(7);
+    c.onRobRetire(7, 0);
+    c.onRobRetire(7, 0);
     std::string s = c.summary();
     EXPECT_NE(s.find("[iq-occupancy]"), std::string::npos);
     EXPECT_NE(s.find("[rob-commit-order]"), std::string::npos);
@@ -448,31 +461,46 @@ TEST(CheckerMechanics, FailFastPanicsOnFirstViolation)
 
 TEST(CheckerMechanics, ScopeInstallsAndRestores)
 {
-    EXPECT_EQ(currentChecker(), nullptr);
+    EXPECT_EQ(currentObserver(), nullptr);
     InvariantChecker outer(false);
     {
-        CheckScope a(outer);
-        EXPECT_EQ(currentChecker(), &outer);
+        ObserverScope a(outer);
+        EXPECT_EQ(currentObserver(), &outer);
         InvariantChecker inner(false);
         {
-            CheckScope b(inner);
-            EXPECT_EQ(currentChecker(), &inner);
+            ObserverScope b(inner);
+            EXPECT_EQ(currentObserver(), &inner);
         }
-        EXPECT_EQ(currentChecker(), &outer);
+        EXPECT_EQ(currentObserver(), &outer);
     }
-    EXPECT_EQ(currentChecker(), nullptr);
+    EXPECT_EQ(currentObserver(), nullptr);
+}
+
+TEST(CheckerMechanics, DefaultScopeInstallsACheckerOnlyInObserveBuilds)
+{
+    {
+        DefaultObserverScope scope;
+        EXPECT_EQ(currentObserver() != nullptr,
+                  CLUSTERSIM_OBSERVE_ENABLED != 0);
+    }
+    EXPECT_EQ(currentObserver(), nullptr);
+    // A caller's own observer wins over the default.
+    InvariantChecker own(false);
+    ObserverScope mine(own);
+    DefaultObserverScope scope;
+    EXPECT_EQ(currentObserver(), &own);
 }
 
 // ---------------------------------------------------------------------------
-// Live probes (check builds only)
+// Live probes (observe builds only)
 // ---------------------------------------------------------------------------
 
-#if CLUSTERSIM_CHECK_ENABLED
+#if CLUSTERSIM_OBSERVE_ENABLED
 TEST(LiveProbes, ShortRunDrivesProbesAndHoldsInvariants)
 {
     InvariantChecker c(/*fail_fast=*/false);
     {
-        CheckScope scope(c);
+        ObserverScope scope(c);
         runSimulation(clusteredConfig(16), makeBenchmark("gzip"),
                       nullptr, 1000, 5000);
     }
@@ -484,7 +512,7 @@ TEST(LiveProbes, DistributedLsqRunHoldsInvariants)
 {
     InvariantChecker c(/*fail_fast=*/false);
     {
-        CheckScope scope(c);
+        ObserverScope scope(c);
         std::unique_ptr<ReconfigController> ctrl =
             makeExploreController();
         runSimulation(
@@ -499,7 +527,7 @@ TEST(LiveProbes, ProbesCompiledOutInNormalBuilds)
 {
     InvariantChecker c(/*fail_fast=*/false);
     {
-        CheckScope scope(c);
+        ObserverScope scope(c);
         runSimulation(clusteredConfig(4), makeBenchmark("gzip"),
                       nullptr, 500, 2000);
     }
@@ -790,7 +818,7 @@ TEST(FuzzCases, CleanCaseProducesNoViolations)
     c.measure = 1000;
     FuzzOutcome out = runFuzzCase(c);
     EXPECT_TRUE(out.ok);
-#if CLUSTERSIM_CHECK_ENABLED
+#if CLUSTERSIM_OBSERVE_ENABLED
     EXPECT_GT(out.probes, 0u);
 #else
     EXPECT_EQ(out.probes, 0u);

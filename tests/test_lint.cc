@@ -136,15 +136,19 @@ TEST(SimlintSelfTest, SummaryLineReportsPerRuleCounts)
 
 TEST(SimlintSelfTest, TraceGateRuleSparesColdRegions)
 {
-    // The T001 fixture names the sink on one hot-path line (two
-    // identifiers, so two findings) and again inside a cold region,
-    // which must stay silent.
+    // The T001 fixture names the observer and its scope, the sink and
+    // the checker on hot-path lines (five identifiers, so five
+    // findings) and again inside a cold region, which must stay silent.
     LintRun r = runSimlint("--no-stats --quiet " +
                            fixture("bad_t001.cc"));
     EXPECT_NE(r.exitCode, 0) << r.output;
-    EXPECT_NE(r.output.find("T001"), std::string::npos) << r.output;
-    EXPECT_EQ(std::count(r.output.begin(), r.output.end(), '\n'), 2)
-        << "only the hot-path line should fire:\n" << r.output;
+    for (const char *name : {"'Observer'", "'currentObserver'",
+                             "'ObserverScope'", "'TraceSink'",
+                             "'InvariantChecker'"})
+        EXPECT_NE(r.output.find(name), std::string::npos)
+            << name << ":\n" << r.output;
+    EXPECT_EQ(std::count(r.output.begin(), r.output.end(), '\n'), 5)
+        << "only the hot-path lines should fire:\n" << r.output;
 }
 
 TEST(SimlintSelfTest, HotPathRulesStayQuietWithoutAnnotation)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the load-store queue: ordering, disambiguation,
- * forwarding, dummy-slot occupancy (distributed mode), and squash.
+ * forwarding, and dummy-slot occupancy (distributed mode).
  */
 
 #include <gtest/gtest.h>
@@ -129,17 +129,6 @@ TEST(LsqCentral, ReleaseInOrder)
     EXPECT_EQ(lsq.size(), 0u);
 }
 
-TEST(LsqCentral, SquashAfterDropsYoung)
-{
-    LoadStoreQueue lsq(false, 16, 15);
-    lsq.allocate(1, false, 0, 16);
-    lsq.allocate(2, true, 0, 16);
-    lsq.allocate(3, false, 0, 16);
-    lsq.squashAfter(1);
-    EXPECT_EQ(lsq.size(), 1u);
-    EXPECT_EQ(lsq.entry(1).seq, 1u);
-}
-
 // ---------------------------------------------------------------------------
 // Distributed LSQ (dummy slots)
 // ---------------------------------------------------------------------------
@@ -218,16 +207,6 @@ TEST(LsqDist, ReleaseStoreFreesBankSlot)
     EXPECT_EQ(lsq.size(), 0u);
 }
 
-TEST(LsqDist, SquashUnresolvedStoreFreesAllDummies)
-{
-    LoadStoreQueue lsq(true, 4, 1);
-    lsq.allocate(1, true, 0, 4);
-    EXPECT_FALSE(lsq.canAllocate(false, 2, 4));
-    lsq.squashAfter(0);
-    EXPECT_TRUE(lsq.canAllocate(false, 2, 4));
-    EXPECT_EQ(lsq.size(), 0u);
-}
-
 TEST(LsqDist, ForwardAcrossBanks)
 {
     LoadStoreQueue lsq(true, 8, 15);
@@ -257,7 +236,7 @@ TEST(LsqProperty, RandomSequencesKeepInvariants)
 
         for (int step = 0; step < 400; step++) {
             now += 1 + rng.range(3);
-            int action = static_cast<int>(rng.range(4));
+            int action = static_cast<int>(rng.range(3));
             if (action <= 1) { // allocate
                 bool is_store = rng.chance(0.4);
                 int cluster = static_cast<int>(rng.range(4));
@@ -275,7 +254,7 @@ TEST(LsqProperty, RandomSequencesKeepInvariants)
                             lsq.setStoreData(s, now + 2);
                     }
                 }
-            } else if (action == 2 && !live.empty()) { // release head
+            } else if (!live.empty()) { // release head
                 InstSeqNum s = live.front();
                 const LsqEntry &e = lsq.entry(s);
                 // Only resolved stores can commit.
@@ -290,12 +269,6 @@ TEST(LsqProperty, RandomSequencesKeepInvariants)
                     live.pop_front();
                     lsq.release(s);
                 }
-            } else if (action == 3 && !live.empty() &&
-                       rng.chance(0.2)) { // squash tail half
-                InstSeqNum keep = live[live.size() / 2];
-                while (!live.empty() && live.back() > keep)
-                    live.pop_back();
-                lsq.squashAfter(keep);
             }
             ASSERT_EQ(lsq.size(), live.size());
         }

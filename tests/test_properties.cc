@@ -156,7 +156,7 @@ TEST(Properties, RandomizedSimsHoldAllInvariants)
         if (!out.ok)
             FAIL() << "case " << i << ": " << reportFailure(c);
     }
-#if CLUSTERSIM_CHECK_ENABLED
+#if CLUSTERSIM_OBSERVE_ENABLED
     // The sweep is only meaningful if the probes actually fired.
     EXPECT_GT(total_probes, runs * 100);
 #else

@@ -12,7 +12,8 @@
  * must keep three properties: the parser does not crash (the
  * ASan/UBSan build also checks memory and undefined behaviour); a
  * rejected frame
- * carries one of parseRequest()'s error codes and a message; and an
+ * carries one of parseRequest()'s error codes and a message, and
+ * carries `parse` only when the frame is not JSON; and an
  * accepted frame's numbers are the frame's own -- submit's warmup,
  * measure and active_clusters (at most maxClusters), cancel's job --
  * with nothing wrapped or truncated on the way.
@@ -243,6 +244,18 @@ numbersDiffer(const Request &req, const JsonValue &doc)
     return {};
 }
 
+/** Whether parseJson() reads the frame. */
+bool
+readsAsJson(const std::string &frame)
+{
+    try {
+        parseJson(frame);
+        return true;
+    } catch (const SimError &) {
+        return false;
+    }
+}
+
 /**
  * The properties, or the first one `frame` breaks. `accepted` reports
  * whether parseRequest() took the frame.
@@ -261,6 +274,10 @@ violation(const std::string &frame, bool *accepted = nullptr)
             return "rejected with unknown code '" + r.errorCode + "'";
         if (r.errorMessage.empty())
             return "rejected without a message";
+        // `parse` means "not valid JSON" (docs/SERVING.md): a frame
+        // that parses must be rejected for its shape instead.
+        if (r.errorCode == "parse" && readsAsJson(frame))
+            return "valid JSON rejected as 'parse': " + r.errorMessage;
         return {};
     }
     if (frame.size() > maxFrameBytes)

@@ -216,10 +216,16 @@ TEST(Serve, ParseRequestRejectsMalformedInput)
               "bad_request");
     EXPECT_EQ(parseRequest("{\"type\":\"cancel\"}").errorCode,
               "bad_request");
-    // A negative count fails the non-negative-integer member rule.
-    EXPECT_FALSE(parseRequest("{\"type\":\"submit\","
-                              "\"preset\":\"smoke\",\"warmup\":-5}")
-                     .ok);
+    // Valid JSON with an ill-typed member is a bad request, not a
+    // parse error: a negative, a string or a fractional count, and a
+    // quoted override.
+    for (const char *frame :
+         {"{\"type\":\"submit\",\"preset\":\"smoke\",\"warmup\":-5}",
+          "{\"type\":\"submit\",\"preset\":\"smoke\",\"warmup\":\"x\"}",
+          "{\"type\":\"cancel\",\"job\":1.5}",
+          "{\"type\":\"submit\",\"preset\":\"smoke\","
+          "\"overrides\":{\"active_clusters\":\"4\"}}"})
+        EXPECT_EQ(parseRequest(frame).errorCode, "bad_request") << frame;
     // active_clusters above maxClusters, wrapping to 2 or to a
     // negative int (no override) in an int cast, is a bad request.
     for (const char *active : {"17", "2147483648", "4294967298"})

@@ -2,20 +2,23 @@
  * @file
  * Unit tests for the observability layer: the TraceSink ring buffer
  * and periodic occupancy sampling, the per-interval time-series
- * recorder and its exports, the Perfetto JSON emitter, and -- most
- * importantly -- the guarantee that installing a sink never changes
- * simulation results (tracing is observation only).
+ * recorder and its exports, the Perfetto JSON emitter, the one
+ * observer scope that feeds every hook, and -- most importantly -- the
+ * guarantee that installing a sink never changes simulation results
+ * (tracing is observation only).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <set>
 #include <string>
 
 #include "common/json.hh"
 #include "common/json_reader.hh"
+#include "memory/lsq.hh"
 #include "reconfig/interval_explore.hh"
 #include "sim/presets.hh"
 #include "sim/simulation.hh"
@@ -36,7 +39,101 @@ countKind(const TraceSink &sink, TraceEventKind kind)
     return n;
 }
 
+/** An observer that counts the hook calls it receives, by hook. */
+class CountingObserver : public Observer
+{
+  public:
+    std::map<std::string, std::uint64_t> calls;
+
+    void onConfigure(const ProcessorConfig &, int) override { hit("config"); }
+    void onCycleBegin(Cycle, int) override { hit("cycle_begin"); }
+    void onCycleEnd(int) override { hit("cycle_end"); }
+    void onIdleSkip(Cycle, int) override { hit("idle_skip"); }
+    void onCommit(const DynInst &, Cycle) override { hit("commit"); }
+    void onStreamRebase() override { hit("stream_rebase"); }
+    void onClusterIq(int, bool, int) override { hit("cluster_iq"); }
+    void onClusterRegs(int, bool, int) override { hit("cluster_regs"); }
+    void onRobAllocate(InstSeqNum, std::size_t, int) override { hit("rob"); }
+    void onRobRetire(InstSeqNum, std::size_t) override { hit("rob_retire"); }
+    void onLsqAllocate(const LoadStoreQueue &) override { hit("lsq"); }
+    void onLsqResolve(const LoadStoreQueue &) override { hit("lsq_resolve"); }
+    void
+    onLoadAccess(const LoadStoreQueue &, InstSeqNum) override
+    {
+        hit("load_access");
+    }
+    void
+    onLsqRelease(const LoadStoreQueue &, InstSeqNum) override
+    {
+        hit("lsq_release");
+    }
+    void onTransfer(int, int, int, int, Cycle) override { hit("transfer"); }
+    void
+    onControllerAttach(const std::string &, int, int) override
+    {
+        hit("controller_attach");
+    }
+    void
+    onControllerTarget(const std::string &, int) override
+    {
+        hit("controller_target");
+    }
+    void
+    onReconfigApply(int, int, std::size_t, std::size_t, bool) override
+    {
+        hit("reconfig_apply");
+    }
+    void
+    onEvent(TraceEventKind, std::int64_t, std::uint64_t, double) override
+    {
+        hit("event");
+    }
+    void onMeasureStart(Cycle) override { hit("measure_start"); }
+    void onMeasureEnd(Cycle, SimResult &) override { hit("measure_end"); }
+
+  private:
+    void hit(const char *hook) { calls[hook]++; }
+};
+
 } // namespace
+
+// ---------------------------------------------------------------------------
+// One observer scope feeds every hook
+// ---------------------------------------------------------------------------
+
+TEST(Observer, OneScopeFeedsEveryHook)
+{
+    // A decentralized machine under a reconfiguring controller reaches
+    // every hook family: the distributed LSQ, the bank transfers, and
+    // the drain-and-flush reconfiguration.
+    IntervalExploreParams p;
+    p.initialInterval = 1000;
+    IntervalExploreController ctrl(p);
+    CountingObserver obs;
+    {
+        ObserverScope scope(obs);
+        runSimulation(clusteredConfig(16, InterconnectKind::Ring, true),
+                      makeBenchmark("swim"), &ctrl, 2000, 20000);
+    }
+    // The measure-window milestones reach the scope in every build...
+    EXPECT_EQ(obs.calls["measure_start"], 1u);
+    EXPECT_EQ(obs.calls["measure_end"], 1u);
+#if CLUSTERSIM_OBSERVE_ENABLED
+    // ...and an observe build feeds every pipeline hook to the same
+    // observer.
+    for (const char *hook :
+         {"config", "cycle_begin", "cycle_end", "cluster_iq",
+          "cluster_regs", "rob", "rob_retire", "commit", "lsq",
+          "lsq_resolve", "load_access", "lsq_release", "transfer",
+          "controller_attach", "controller_target", "reconfig_apply",
+          "event"})
+        EXPECT_GT(obs.calls[hook], 0u) << hook;
+    EXPECT_EQ(obs.calls["stream_rebase"], 0u);
+#else
+    // ...while a default build carries none of the pipeline hooks.
+    EXPECT_EQ(obs.calls.size(), 2u);
+#endif
+}
 
 // ---------------------------------------------------------------------------
 // TraceSink ring buffer
@@ -46,7 +143,7 @@ TEST(TraceSink, RingWrapDropsOldestOnly)
 {
     TraceSink sink(/*ring_capacity=*/4, /*sample_period=*/1000000);
     for (int i = 0; i < 6; i++)
-        sink.event(TraceEventKind::TargetChange, 0, i);
+        sink.onEvent(TraceEventKind::TargetChange, i, 0, 0.0);
     EXPECT_EQ(sink.capacity(), 4u);
     EXPECT_EQ(sink.recorded(), 6u);
     EXPECT_EQ(sink.dropped(), 2u);
@@ -59,8 +156,8 @@ TEST(TraceSink, RingWrapDropsOldestOnly)
 TEST(TraceSink, ResetForgetsEverything)
 {
     TraceSink sink(8, 100);
-    sink.beginCycle(0, 4);
-    sink.event(TraceEventKind::ExploreStart, 0, 2);
+    sink.onCycleBegin(0, 4);
+    sink.onEvent(TraceEventKind::ExploreStart, 2, 0, 0.0);
     ASSERT_GT(sink.recorded(), 0u);
     sink.reset();
     EXPECT_EQ(sink.recorded(), 0u);
@@ -71,16 +168,18 @@ TEST(TraceSink, ResetForgetsEverything)
 TEST(TraceSink, PeriodicSamplesCoverAllTracks)
 {
     TraceSink sink(1024, /*sample_period=*/100);
-    sink.iq(0, /*fp=*/false, 5);
-    sink.iq(0, /*fp=*/true, 2);
-    sink.regs(1, /*fp=*/false, 7);
-    sink.rob(30);
-    sink.lsq(12);
-    sink.transfer(/*hops=*/3, /*queue_delay=*/10);
-    sink.transfer(/*hops=*/1, /*queue_delay=*/20);
+    sink.onClusterIq(0, /*fp=*/false, 5);
+    sink.onClusterIq(0, /*fp=*/true, 2);
+    sink.onClusterRegs(1, /*fp=*/false, 7);
+    sink.onRobAllocate(30, /*size=*/30, 480);
+    LoadStoreQueue lsq(/*distributed=*/false, 1, 15);
+    lsq.allocate(1, /*is_store=*/false, 0, 1);
+    sink.onLsqAllocate(lsq);
+    sink.onTransfer(0, 3, /*hops=*/3, 8, /*queue_delay=*/10);
+    sink.onTransfer(0, 1, /*hops=*/1, 8, /*queue_delay=*/20);
 
     // First cycle hits the sample point immediately.
-    sink.beginCycle(0, 8);
+    sink.onCycleBegin(0, 8);
     // Two clusters were seen, so both get IQ and regfile tracks.
     EXPECT_EQ(countKind(sink, TraceEventKind::ActiveSample), 1u);
     EXPECT_EQ(countKind(sink, TraceEventKind::IqSample), 2u);
@@ -90,12 +189,12 @@ TEST(TraceSink, PeriodicSamplesCoverAllTracks)
     EXPECT_EQ(countKind(sink, TraceEventKind::LinkSample), 1u);
 
     // Between sample points nothing is emitted.
-    sink.beginCycle(50, 8);
+    sink.onCycleBegin(50, 8);
     EXPECT_EQ(countKind(sink, TraceEventKind::ActiveSample), 1u);
 
     // The next sample point emits again, with the link accumulators
     // reset after the previous sample.
-    sink.beginCycle(100, 6);
+    sink.onCycleBegin(100, 6);
     EXPECT_EQ(countKind(sink, TraceEventKind::ActiveSample), 2u);
     bool saw_first_link = false;
     for (const TraceEvent &ev : sink.eventsInOrder()) {
@@ -212,11 +311,11 @@ TEST(TimeSeries, CsvAndJsonExports)
 TEST(Trace, PerfettoJsonIsWellFormed)
 {
     TraceSink sink(1024, 100);
-    sink.beginCycle(0, 4);
-    sink.event(TraceEventKind::ControllerAttach, 0, 16, 16);
-    sink.iq(0, false, 3);
-    sink.beginCycle(100, 4);
-    sink.event(TraceEventKind::ExploreStart, 0, 2, 10000);
+    sink.onCycleBegin(0, 4);
+    sink.onEvent(TraceEventKind::ControllerAttach, 16, 16, 0.0);
+    sink.onClusterIq(0, false, 3);
+    sink.onCycleBegin(100, 4);
+    sink.onEvent(TraceEventKind::ExploreStart, 2, 10000, 0.0);
 
     JsonValue v = parseJson(perfettoJson(sink));
     ASSERT_TRUE(v.isObject());
@@ -268,7 +367,7 @@ TEST(Trace, SinkDoesNotPerturbSimulation)
     auto traced_ctrl = makeExploreController();
     SimResult traced;
     {
-        TraceScope scope(sink);
+        ObserverScope scope(sink);
         traced = runSimulation(cfg, bench, traced_ctrl.get(), 2000,
                                30000);
     }
@@ -302,13 +401,13 @@ TEST(Trace, MilestoneEventsRecordedInAnyBuild)
     sink.enableTimeSeries(1000);
     SimResult res;
     {
-        TraceScope scope(sink);
+        ObserverScope scope(sink);
         res = runSimulation(clusteredConfig(4), makeBenchmark("gzip"),
                             nullptr, 1000, 5000);
     }
     EXPECT_EQ(countKind(sink, TraceEventKind::MeasureStart), 1u);
     EXPECT_EQ(countKind(sink, TraceEventKind::MeasureEnd), 1u);
-#if CLUSTERSIM_TRACE_ENABLED
+#if CLUSTERSIM_OBSERVE_ENABLED
     EXPECT_GT(sink.recorded(), 2u);
     ASSERT_FALSE(res.timeSeries.empty());
     EXPECT_EQ(res.timeSeriesInterval, 1000u);
@@ -319,7 +418,7 @@ TEST(Trace, MilestoneEventsRecordedInAnyBuild)
 #endif
 }
 
-#if CLUSTERSIM_TRACE_ENABLED
+#if CLUSTERSIM_OBSERVE_ENABLED
 TEST(Trace, IntervalExploreRunEmitsReconfigTimeline)
 {
     IntervalExploreParams p;
@@ -330,7 +429,7 @@ TEST(Trace, IntervalExploreRunEmitsReconfigTimeline)
     sink.enableTimeSeries(2000);
     SimResult res;
     {
-        TraceScope scope(sink);
+        ObserverScope scope(sink);
         res = runSimulation(clusteredConfig(16), makeBenchmark("gzip"),
                             &ctrl, 5000, 50000);
     }

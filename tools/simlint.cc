@@ -30,8 +30,8 @@
  *                       check (F001)
  *   S0xx  snapshot      every Processor::Snapshot member is applied by
  *                       Processor::restore() (S004)
- *   T0xx  tracing       trace hooks in hot-path files must sit behind
- *                       the CSIM_TRACE compile-time gate
+ *   T0xx  observation   observer hooks in hot-path files must sit
+ *                       behind the CSIM_OBSERVE compile-time gate
  *   L0xx  lint          malformed simlint directives
  *
  * Annotations (line comments anywhere in a file):
@@ -125,9 +125,10 @@ const RuleInfo ruleTable[] = {
      "every Processor::Snapshot member must be applied by "
      "Processor::restore(), or restored runs diverge from "
      "straight-line warmup"},
-    {"T001", "ungated trace-sink access in hot path",
-     "route the hook through CSIM_TRACE so a default build compiles "
-     "it out; raw TraceSink/currentTraceSink use belongs in cold code"},
+    {"T001", "ungated observer access in hot path",
+     "route the hook through CSIM_OBSERVE so a default build compiles "
+     "it out; naming an observer, its scope, the trace sink or the "
+     "invariant checker belongs in cold code"},
     {"L001", "malformed simlint directive",
      "suppressions are `// simlint-ignore(ID[,ID...]): reason` with a "
      "non-empty reason"},
@@ -1209,16 +1210,17 @@ Linter::scanFile(FileScan &f)
                  "for fatal conditions");
         }
 
-        // --- T001: ungated trace-sink access ----------------------------
-        // CSIM_TRACE expands to a currentTraceSink() load only in trace
-        // builds; naming the sink directly in hot-path code would make
-        // the default build pay for observability.
-        if (s == "TraceSink" || s == "currentTraceSink" ||
-            s == "TraceScope") {
+        // --- T001: ungated observer access -----------------------------
+        // CSIM_OBSERVE expands to a currentObserver() load only in
+        // observe builds; naming an observer directly in hot-path code
+        // would make the default build pay for observation.
+        if (s == "Observer" || s == "ObserverScope" ||
+            s == "currentObserver" || s == "TraceSink" ||
+            s == "InvariantChecker") {
             emit(f, tk.line, "T001",
-                 "'" + s + "' in hot-path code bypasses the CSIM_TRACE "
+                 "'" + s + "' in hot-path code bypasses the CSIM_OBSERVE "
                  "compile-time gate; a default build must carry no "
-                 "tracing");
+                 "observation");
         }
     }
 }

@@ -12,10 +12,11 @@
  *   --series      per-interval time series as JSON
  *   --series-csv  the same series as CSV
  *
- * The trace hooks are compile-time gated; this tool requires a build
- * configured with -DCLUSTERSIM_TRACE=ON and exits with an error
- * otherwise (the run would record milestones but no pipeline events).
- * See docs/OBSERVABILITY.md for the event catalog.
+ * It requires a build configured with -DCLUSTERSIM_OBSERVE=ON and exits
+ * with an error otherwise (the run would record milestones but no
+ * pipeline events). The sink is the run's one observer, so the run is
+ * not invariant-checked. See docs/OBSERVABILITY.md for the event
+ * catalog.
  */
 
 #include <cstdio>
@@ -40,6 +41,9 @@ usage(const char *prog, int code)
 {
     std::fprintf(stderr,
                  "usage: %s --bench NAME [options]\n"
+                 "\n"
+                 "Traces one run; needs a build configured with "
+                 "-DCLUSTERSIM_OBSERVE=ON.\n"
                  "\n"
                  "options:\n"
                  "  --bench NAME       benchmark model (see --list)\n"
@@ -156,10 +160,11 @@ main(int argc, char **argv)
         }
     }
 
-    if (!CLUSTERSIM_TRACE_ENABLED) {
+    if (!CLUSTERSIM_OBSERVE_ENABLED) {
         std::fprintf(stderr,
-                     "trace: this build has the trace hooks compiled "
-                     "out; reconfigure with -DCLUSTERSIM_TRACE=ON\n");
+                     "trace: this build has the observation hooks "
+                     "compiled out; reconfigure with "
+                     "-DCLUSTERSIM_OBSERVE=ON\n");
         return 2;
     }
     if (bench.empty()) {
@@ -199,7 +204,7 @@ main(int argc, char **argv)
     sink.enableTimeSeries(interval);
     SimResult res;
     {
-        TraceScope scope(sink);
+        ObserverScope scope(sink);
         res = runSimulation(cfg, makeBenchmark(bench),
                             controller.get(), warmup, measure);
     }
